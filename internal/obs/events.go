@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"predator/internal/obs/spans"
@@ -113,9 +113,12 @@ func (m MultiSink) Emit(e Event) {
 // the no-op default — every method is safe on it — so the runtime carries
 // one pointer and pays a single nil check on instrumented paths.
 type Observer struct {
-	reg     *Registry
-	sink    Sink
-	seq     atomic.Uint64
+	reg  *Registry
+	sink Sink
+	// emitMu orders the seq stamp and the sink write together, so a sink
+	// sees events in seq order. Only the sink path takes it.
+	emitMu  sync.Mutex
+	seq     uint64 // guarded by emitMu
 	emitted *Counter
 	self    *SelfProfiler // nil unless EnableSelfProfile was called
 	spans   *spans.Tracer // nil unless SetSpans was called
@@ -193,15 +196,19 @@ func (o *Observer) Metrics() *Registry {
 func (o *Observer) Tracing() bool { return o != nil && o.sink != nil }
 
 // Emit stamps the event with a sequence number and wall time and forwards it
-// to the sink. No-op when the observer or its sink is nil.
+// to the sink; concurrent emitters reach the sink in seq order. No-op when
+// the observer or its sink is nil.
 func (o *Observer) Emit(e Event) {
 	if o == nil || o.sink == nil {
 		return
 	}
-	e.Seq = o.seq.Add(1)
 	if e.Time == 0 {
 		e.Time = time.Now().UnixNano()
 	}
+	o.emitMu.Lock()
+	defer o.emitMu.Unlock()
+	o.seq++
+	e.Seq = o.seq
 	o.sink.Emit(e)
 	o.emitted.Inc()
 }

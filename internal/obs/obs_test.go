@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -235,6 +236,46 @@ func TestConcurrentSinkDelivery(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap["predator_accesses_total"] != total {
 		t.Errorf("snapshot = %v", snap["predator_accesses_total"])
+	}
+}
+
+// TestJSONLinesSeqOrder: events emitted from many goroutines land in the
+// JSON-lines file in strictly increasing seq order, the invariant consumers
+// of an -events-out file rely on.
+func TestJSONLinesSeqOrder(t *testing.T) {
+	var buf bytes.Buffer
+	js := NewJSONLines(&buf)
+	o := New(NewRegistry(), js)
+	const workers, perWorker = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				o.Emit(Event{Type: EvInvalidation, TID: id, Line: uint64(i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := js.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	n := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("invalid line %q: %v", line, err)
+		}
+		if ev.Seq <= last {
+			t.Fatalf("seq %d written after seq %d", ev.Seq, last)
+		}
+		last = ev.Seq
+		n++
+	}
+	if n != workers*perWorker {
+		t.Errorf("lines = %d, want %d", n, workers*perWorker)
 	}
 }
 
