@@ -9,7 +9,6 @@ import (
 
 	"predator/internal/mem"
 	"predator/internal/report"
-	"predator/internal/xsync"
 )
 
 // testConfig uses small thresholds and no sampling so unit tests are fast
@@ -323,7 +322,25 @@ func TestConcurrentWorkloadSafety(t *testing.T) {
 	// (short unsynchronized goroutines can run back-to-back and produce
 	// almost no interleaving).
 	const workers, rounds = 4, 5000
-	barrier := xsync.NewBarrier(workers)
+	var (
+		mu      sync.Mutex
+		cond    = sync.NewCond(&mu)
+		arrived int
+		round   int
+	)
+	barrier := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		r := round
+		if arrived++; arrived == workers {
+			arrived, round = 0, round+1
+			cond.Broadcast()
+			return
+		}
+		for round == r {
+			cond.Wait()
+		}
+	}
 	var wg sync.WaitGroup
 	for tid := 1; tid <= workers; tid++ {
 		wg.Add(1)
@@ -332,7 +349,7 @@ func TestConcurrentWorkloadSafety(t *testing.T) {
 			word := addr + uint64((tid-1)*8)
 			for i := 0; i < rounds; i++ {
 				rt.HandleAccess(tid, word, 8, true)
-				barrier.Wait()
+				barrier()
 			}
 		}(tid)
 	}
