@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -352,5 +353,35 @@ func TestPredreplayExportsObservability(t *testing.T) {
 	}
 	if !strings.Contains(string(evRaw), `"type":"alloc"`) {
 		t.Error("replay events missing alloc events (heap not observed)")
+	}
+}
+
+// TestUnwritableOutputFails: every agent CLI exits 1 and names the path
+// when a requested output file cannot be written.
+func TestUnwritableOutputFails(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "ww.trace")
+	if out, err := run(t, "predreplay", "-record", "ww_share", "-out", tracePath, "-threads", "4"); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	tools := map[string][]string{
+		"predator":   {"-workload", "ww_share", "-threads", "4", "-quiet"},
+		"predreplay": {"-replay", tracePath},
+		"predbench":  {"-experiment", "fig5", "-repeats", "1"},
+	}
+	missing := filepath.Join(dir, "missing")
+	for tool, args := range tools {
+		for _, fl := range []string{"-metrics-out", "-events-out", "-spans-out", "-timeline-out"} {
+			path := filepath.Join(missing, tool+fl)
+			out, err := run(t, tool, append(args, fl, path)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%s %s %s: err = %v, want exit status 1\n%s", tool, fl, path, err, out)
+				continue
+			}
+			if !strings.Contains(out, path) {
+				t.Errorf("%s %s: error does not name %s:\n%s", tool, fl, path, out)
+			}
+		}
 	}
 }

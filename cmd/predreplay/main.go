@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,17 +22,10 @@ import (
 	"time"
 
 	"predator/internal/core"
-	"predator/internal/elide"
-	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/mem"
-	"predator/internal/obs"
-	"predator/internal/obs/diag"
-	"predator/internal/obs/fleetclient"
-	"predator/internal/obs/spans"
-	"predator/internal/obs/traceout"
 	"predator/internal/report"
-	"predator/internal/resilience"
+	"predator/internal/session"
 	"predator/internal/trace"
 
 	_ "predator/internal/workloads/apps"
@@ -57,26 +49,13 @@ func main() {
 		sampleWin  = flag.Uint64("sample-window", 0, "replay: sampling window (0 = record everything)")
 		sampleBur  = flag.Uint64("sample-burst", 0, "replay: recorded prefix of each window")
 		noPredict  = flag.Bool("no-prediction", false, "replay: disable prediction")
-		metricsOut = flag.String("metrics-out", "", "replay: write metrics in Prometheus text format to this file")
-		eventsOut  = flag.String("events-out", "", "replay: stream lifecycle trace events as JSON lines to this file")
 		salvage    = flag.Bool("salvage", false, "replay: skip malformed/truncated records instead of aborting")
 		salvageMax = flag.Uint64("salvage-budget", 0, "replay: max corrupt regions tolerated under -salvage (0 = unlimited); exceeding it exits nonzero after the partial report")
 		maxTracked = flag.Int("max-tracked-lines", 0, "replay: resource governor budget for detailed tracking (0 = unlimited)")
 		maxVirtual = flag.Int("max-virtual-lines", 0, "replay: resource governor budget for virtual lines (0 = unlimited)")
-		timeline   = flag.String("timeline-out", "", "replay: write the flight-recorder timeline as Perfetto/Chrome trace-event JSON to this file")
 		flightN    = flag.Int("flight-depth", 0, "replay: flight recorder ring depth per tracked line (0 = default, -1 = disable)")
-		elidePath  = flag.String("elide", "", "replay: predlint elision manifest (-elide-out): drop provably-safe access events before the runtime")
-		spansOut   = flag.String("spans-out", "", "replay: write the replay pipeline span trace as OTLP/JSON to this file")
-		version    = flag.Bool("version", false, "print build version and exit")
 	)
-	diagFlags := diag.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleetclient.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	if *version {
-		fmt.Println("predreplay " + obs.GetBuildInfo().String())
-		return
-	}
+	sf := session.Parse("predreplay")
 
 	switch {
 	case *record != "" && *replay != "":
@@ -97,25 +76,8 @@ func main() {
 			MaxVirtualLines:     *maxVirtual,
 			FlightDepth:         *flightN,
 		}
-		opts := replayOptions{
-			salvage:       *salvage,
-			salvageBudget: *salvageMax,
-			metricsOut:    *metricsOut,
-			eventsOut:     *eventsOut,
-			timelineOut:   *timeline,
-			spansOut:      *spansOut,
-			diag:          diagFlags,
-			fleet:         fleetFlags,
-		}
-		if *elidePath != "" {
-			manifest, err := elide.Load(*elidePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "predreplay: -elide: %v\n", err)
-				os.Exit(2)
-			}
-			opts.elide = manifest
-		}
-		if err := doReplay(*replay, cfg, opts); err != nil {
+		ropts := trace.ReplayOptions{Salvage: *salvage, Elide: sf.Elide}
+		if err := doReplay(*replay, cfg, ropts, *salvageMax, sf); err != nil {
 			fatal(err.Error())
 		}
 	default:
@@ -181,104 +143,28 @@ func variantName(buggy bool) string {
 	return "fixed"
 }
 
-// replayOptions carries the replay-side CLI knobs.
-type replayOptions struct {
-	salvage       bool
-	salvageBudget uint64 // max corrupt regions tolerated; 0 = unlimited
-	metricsOut    string
-	eventsOut     string
-	timelineOut   string // Perfetto timeline destination, "" = off
-	spansOut      string // OTLP/JSON span trace destination, "" = off
-	diag          *diag.Flags
-	fleet         *fleetclient.Flags
-	elide         *elide.Manifest // elision manifest, nil = off
-}
-
 // doReplay streams the trace through a fresh runtime and prints the report.
 // Decode failures are diagnosed on stderr with the byte offset and event
 // index where decoding failed; under -salvage the trace replays to
-// completion with a degradation banner (and a nonzero exit when the corrupt-
-// region budget is exceeded, after the partial report has been printed).
-func doReplay(path string, cfg core.Config, opts replayOptions) error {
+// completion with a degradation banner (and a nonzero exit when more than
+// salvageBudget corrupt regions were skipped, after the partial report has
+// been printed; 0 = unlimited).
+func doReplay(path string, cfg core.Config, ropts trace.ReplayOptions, salvageBudget uint64, sf *session.Flags) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	var evSink *obs.JSONLines
-	if opts.metricsOut != "" || opts.eventsOut != "" || opts.spansOut != "" ||
-		opts.diag.Enabled() || opts.fleet.Enabled() {
-		var sink obs.Sink
-		if opts.eventsOut != "" {
-			ef, err := os.Create(opts.eventsOut)
-			if err != nil {
-				return err
-			}
-			defer ef.Close()
-			evSink = obs.NewJSONLines(ef)
-			// The JSON-lines sink is our own code, but it writes to user-
-			// controlled storage; quarantine it rather than die with it.
-			sink = resilience.GuardSink("events-jsonl", evSink, 0, nil)
-		}
-		cfg.Observer = obs.New(obs.NewRegistry(), sink)
+	// Replays are deterministic by construction, so the span IDs are too:
+	// two replays of the same trace produce the same span tree.
+	sess, err := sf.Start(session.Config{Deterministic: true})
+	if err != nil {
+		return err
 	}
-
-	ropts := trace.ReplayOptions{Salvage: opts.salvage, Elide: opts.elide}
-
-	// Replay span tracing: replays are deterministic by construction, so the
-	// tracer always runs in deterministic-ID mode and two replays of the same
-	// trace produce the same span tree.
-	var (
-		tracer   *spans.Tracer
-		rootSpan *spans.Span
-	)
-	if opts.spansOut != "" || opts.diag.Enabled() || opts.fleet.Enabled() {
-		tracer = spans.New(spans.Config{Deterministic: true})
-		cfg.Observer.SetSpans(tracer)
-		rootSpan = tracer.Start("cli.run", nil)
-		rootSpan.SetLabel("tool", "predreplay")
-		rootSpan.SetLabel("trace_file", filepath.Base(path))
-		ropts.Span = rootSpan
-	}
-
-	// The timeline dump and the fleet exporter both need the replay runtime
-	// after the stream finishes.
-	var rtRef *core.Runtime
-	ropts.OnRuntime = func(rt *core.Runtime) { rtRef = rt }
-	if opts.diag.Enabled() {
-		cfg.Observer.EnableSelfProfile()
-		build := obs.RegisterBuildInfo(cfg.Observer.Metrics(), "predreplay")
-		diagSrv := diag.New(cfg.Observer.Metrics(), "predreplay", build)
-		diagSrv.SetSpans(tracer)
-		bound, err := diagSrv.Start(context.Background(), *opts.diag.Addr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("diagnostics: http://%s\n", bound)
-		prev := ropts.OnRuntime
-		ropts.OnRuntime = func(rt *core.Runtime) {
-			if prev != nil {
-				prev(rt)
-			}
-			diagSrv.SetRuntime(rt)
-		}
-		defer opts.diag.ShutdownAfterLinger(diagSrv, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
-	}
-
-	// An interrupted replay still flushes the buffered event sink and a final
-	// metrics snapshot before dying with the conventional exit code.
-	stopOnInt := obs.FlushOnInterrupt(func() {
-		if cfg.Observer != nil && opts.metricsOut != "" {
-			_ = cfg.Observer.Metrics().WriteSnapshotFile(opts.metricsOut)
-		}
-		if evSink != nil {
-			_ = evSink.Flush()
-		}
-	}, nil)
-	defer stopOnInt()
+	sess.Span.SetLabel("trace_file", filepath.Base(path))
+	cfg.Observer = sess.Observer
+	ropts.Span, ropts.OnRuntime = sess.Span, sess.OnRuntime
 
 	start := time.Now()
 	res, err := trace.ReplayWithOptions(f, cfg, ropts)
@@ -291,18 +177,6 @@ func doReplay(path string, cfg core.Config, opts replayOptions) error {
 		}
 		return err
 	}
-	if cfg.Observer != nil {
-		if opts.metricsOut != "" {
-			if err := cfg.Observer.Metrics().WriteSnapshotFile(opts.metricsOut); err != nil {
-				return err
-			}
-		}
-		if evSink != nil {
-			if err := evSink.Flush(); err != nil {
-				return err
-			}
-		}
-	}
 	if res.Salvage != nil && !res.Salvage.Clean() {
 		fmt.Fprintf(os.Stderr, "predreplay: DEGRADED TRACE: %s\n", res.Salvage)
 		for _, e := range res.Salvage.Errors {
@@ -312,27 +186,9 @@ func doReplay(path string, cfg core.Config, opts replayOptions) error {
 			fmt.Fprintf(os.Stderr, "predreplay:   %d decoded event(s) rejected by the rebuilt heap\n", res.SemanticErrors)
 		}
 	}
-	if opts.timelineOut != "" {
-		switch {
-		case rtRef == nil:
-			return fmt.Errorf("-timeline-out: no replay runtime constructed")
-		case !rtRef.FlightEnabled():
-			return fmt.Errorf("-timeline-out conflicts with -flight-depth -1")
-		}
-		if err := traceout.WriteTimelineFile(opts.timelineOut, rtRef.FlightDump(0, -1), res.Threads); err != nil {
-			return err
-		}
-		fmt.Printf("timeline: %s (load in ui.perfetto.dev)\n", opts.timelineOut)
-	}
-	rootSpan.End()
-	if opts.spansOut != "" {
-		if err := spans.WriteOTLPFile(opts.spansOut, "predreplay", tracer.Snapshot()); err != nil {
-			return err
-		}
-		fmt.Printf("spans: %s (OTLP/JSON, trace %s)\n", opts.spansOut, tracer.TraceID())
-	}
+	elapsed := time.Since(start)
 	fmt.Printf("replayed %d events in %s; %d threads named\n",
-		res.Events, time.Since(start).Round(time.Millisecond), len(res.Threads))
+		res.Events, elapsed.Round(time.Millisecond), len(res.Threads))
 	fmt.Printf("tracked-lines=%d virtual-lines=%d invalidations=%d virtual-invalidations=%d sampled=%d elided=%d\n",
 		res.Stats.TrackedLines, res.Stats.VirtualLines,
 		res.Stats.Invalidations, res.Stats.VirtualInvalidations, res.Stats.SampledAccesses,
@@ -350,46 +206,23 @@ func doReplay(path string, cfg core.Config, opts replayOptions) error {
 		}
 		fmt.Print(fs[i].Format(res.Report.Geometry))
 	}
-	// Ship the replay's report to the fleet: re-analyzed traces participate
-	// in run history and diffs like any live run.
-	if opts.fleet != nil && opts.fleet.Enabled() {
-		fc, runID, err := opts.fleet.Client("predreplay")
-		if err != nil {
-			return err
-		}
-		meta := fc.RunMeta(runID, start)
-		meta.Workload = filepath.Base(path)
-		meta.Mode = "replay"
-		meta.DurationNs = time.Since(start).Nanoseconds()
-		_ = fc.SendFindings(&fleet.FindingsPayload{
-			Run:     meta,
-			Reports: map[string]report.JSONReport{meta.Workload: res.Report.ToJSON()},
-		})
-		if rtRef != nil {
-			if mp := fleetclient.SnapshotRuntime(rtRef, 10, cfg.Observer.Metrics().Snapshot()); mp != nil {
-				mp.Run = runID
-				_ = fc.SendMetrics(mp)
-			}
-		}
-		if tracer != nil {
-			_ = fc.SendSpans(&fleet.SpansPayload{
-				Run:     runID,
-				TraceID: tracer.TraceID().String(),
-				Spans:   tracer.Snapshot(),
-			})
-		}
-		if err := fc.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "predreplay: %v\n", err)
-		} else {
-			fst := fc.Stats()
-			fmt.Printf("fleet: run %s -> %s (sent=%d spooled=%d)\n",
-				runID, *opts.fleet.Addr, fst.Sent, fst.Spooled)
-		}
+
+	// Re-analyzed traces join the fleet's run history and diffs like any
+	// live run.
+	name := filepath.Base(path)
+	if err := sess.Finish(session.Outcome{
+		ThreadNames: res.Threads,
+		Workload:    name,
+		Mode:        "replay",
+		Duration:    elapsed,
+		Reports:     map[string]report.JSONReport{name: res.Report.ToJSON()},
+	}); err != nil {
+		return err
 	}
 
-	if res.Salvage != nil && opts.salvageBudget > 0 && res.Salvage.CorruptRegions > opts.salvageBudget {
+	if res.Salvage != nil && salvageBudget > 0 && res.Salvage.CorruptRegions > salvageBudget {
 		fmt.Fprintf(os.Stderr, "predreplay: salvage budget exceeded: %d corrupt regions > budget %d (partial report above)\n",
-			res.Salvage.CorruptRegions, opts.salvageBudget)
+			res.Salvage.CorruptRegions, salvageBudget)
 		os.Exit(1)
 	}
 	return nil
