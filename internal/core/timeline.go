@@ -113,30 +113,39 @@ func (rt *Runtime) FlightDump(n int, line int64) *FlightDump {
 			Start:         span.Start,
 			End:           span.End,
 			Kind:          v.Pair.Kind.String(),
-			RegClock:      v.RegClock(),
+			RegClock:      v.RegClock,
 			Invalidations: v.Invalidations(),
-			Records:       v.FlightRecords(),
 		}
-		vl.FlaggedClock, _ = v.FlagInfo()
+		vl.Records, _ = v.FlightRecords()
+		vl.FlaggedClock, _, _ = v.FlagInfo()
 		d.Virtual = append(d.Virtual, vl)
 	}
 	return d
 }
 
-// observedProvenance builds the causal record of an observed finding.
-func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
+// trackProvenance starts a finding's causal record from its track's flight
+// state: the recorded tail's interleaving digest and the flagging instant.
+// The flagging access's sampling window is returned apart, because only
+// observed findings report it.
+func trackProvenance(t *detect.Track) (p *report.Provenance, window uint64, flagged bool) {
 	recs, salvaged := t.FlightRecords()
 	dg := flight.Digest(recs)
 	clock, window, flagged := t.FlagInfo()
-	p := &report.Provenance{
+	return &report.Provenance{
 		FlaggedClock: clock,
-		Window:       window,
 		Digest:       dg.Hash,
 		Threads:      dg.Threads,
 		Switches:     dg.Switches,
 		Records:      dg.Records,
 		Salvaged:     salvaged,
-	}
+	}, window, flagged
+}
+
+// observedProvenance builds the causal record of an observed finding.
+func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
+	p, window, flagged := trackProvenance(t)
+	p.Window = window
+	clock := p.FlaggedClock
 	p.Chain = append(p.Chain, fmt.Sprintf(
 		"line promoted to detailed tracking: write count reached TrackingThreshold %d",
 		rt.cfg.TrackingThreshold))
@@ -165,20 +174,12 @@ func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
 // §3 verification chain from hot-pair estimate through virtual-line
 // registration to verification.
 func (rt *Runtime) predictedProvenance(v *predict.VTrack) *report.Provenance {
-	recs := v.FlightRecords()
-	dg := flight.Digest(recs)
-	clock, flagged := v.FlagInfo()
-	p := &report.Provenance{
-		FlaggedClock: clock,
-		Digest:       dg.Hash,
-		Threads:      dg.Threads,
-		Switches:     dg.Switches,
-		Records:      dg.Records,
-	}
+	p, _, flagged := trackProvenance(v.Track)
+	clock := p.FlaggedClock
 	p.Chain = append(p.Chain, fmt.Sprintf(
 		"hot pair (threads %d and %d) estimated %d interleaved invalidations",
 		v.Pair.X.Thread, v.Pair.Y.Thread, v.Pair.Estimate))
-	if rc := v.RegClock(); rc > 0 {
+	if rc := v.RegClock; rc > 0 {
 		p.Chain = append(p.Chain, fmt.Sprintf(
 			"virtual line registered at access-clock %d (%s)", rc, v.Pair.Kind))
 	} else {

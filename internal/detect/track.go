@@ -107,15 +107,6 @@ type Sampler struct {
 	Burst  uint64 // recorded prefix of each interval
 }
 
-// ShouldRecord reports whether the n-th access (1-based) falls in the
-// recorded prefix of its interval.
-func (s Sampler) ShouldRecord(n uint64) bool {
-	if s.Window == 0 {
-		return true
-	}
-	return (n-1)%s.Window < s.Burst
-}
-
 // Rate returns the fraction of accesses recorded.
 func (s Sampler) Rate() float64 {
 	if s.Window == 0 {
@@ -141,8 +132,7 @@ type Track struct {
 	epoch         atomic.Uint64
 	accesses      atomic.Uint64 // all accesses (sampled or not)
 	recorded      atomic.Uint64 // accesses recorded in detail
-	reads         atomic.Uint64
-	writes        atomic.Uint64
+	writes        atomic.Uint64 // recorded writes; the rest are reads
 	invalidations atomic.Uint64
 
 	// words is nil once the track has been degraded to
@@ -207,6 +197,16 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 	return t
 }
 
+// NewSpanTrack creates tracking state for a span that is not a physical
+// line — a predicted virtual line (paper §3.4), verified by counting real
+// invalidations with the same history-table, sampling and flight-recording
+// rules as a physical line. The track keeps no word detail: its LineBase is
+// the span's start, word-indexed flight records count from there, and
+// Words is empty.
+func NewSpanTrack(start uint64, sampler Sampler) *Track {
+	return &Track{lineBase: start, sampler: sampler}
+}
+
 // LineBase returns the tracked line's first address.
 func (t *Track) LineBase() uint64 { return t.lineBase }
 
@@ -234,8 +234,6 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 	}
 	if isWrite {
 		t.writes.Add(1)
-	} else {
-		t.reads.Add(1)
 	}
 	invalidated = t.histAccess(tid, isWrite)
 	var inv uint64
@@ -486,9 +484,19 @@ func (t *Track) Accesses() uint64 { return t.accesses.Load() }
 // Recorded returns the number of accesses recorded in detail.
 func (t *Track) Recorded() uint64 { return t.recorded.Load() }
 
-// Reads returns recorded reads; Writes returns recorded writes.
-func (t *Track) Reads() uint64  { return t.reads.Load() }
+// Writes returns recorded writes.
 func (t *Track) Writes() uint64 { return t.writes.Load() }
+
+// Reads returns recorded reads: every recorded access is a read or a write.
+// writes is loaded first, so a concurrent access can only grow recorded
+// past it; the clamp covers a Reset racing the two loads.
+func (t *Track) Reads() uint64 {
+	w := t.writes.Load()
+	if r := t.recorded.Load(); r > w {
+		return r - w
+	}
+	return 0
+}
 
 // WordAddr returns the address of the i-th word of the line.
 func (t *Track) WordAddr(i int) uint64 {
@@ -561,7 +569,6 @@ func (t *Track) Reset() {
 	t.accesses.Store(0)
 	t.recorded.Store(0)
 	t.pushedRec.Store(0)
-	t.reads.Store(0)
 	t.writes.Store(0)
 	t.invalidations.Store(0)
 	if wp := t.words.Load(); wp != nil {

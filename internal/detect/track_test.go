@@ -134,11 +134,25 @@ func TestInvalidationAccounting(t *testing.T) {
 	}
 }
 
+// recordedAfter drives n accesses through a fresh track sampling with s and
+// returns, for each 1-based access ordinal, whether that access was recorded.
+func recordedAfter(s Sampler, n int) []bool {
+	tr := NewTrack(0x400000000, geom64, s)
+	out := make([]bool, n+1)
+	for i := 1; i <= n; i++ {
+		before := tr.Recorded()
+		tr.HandleAccess(i%2, tr.LineBase(), 8, false)
+		out[i] = tr.Recorded() == before+1
+	}
+	return out
+}
+
 func TestSamplerWindow(t *testing.T) {
 	s := Sampler{Window: 100, Burst: 10}
+	rec := recordedAfter(s, 1000)
 	recorded := 0
-	for n := uint64(1); n <= 1000; n++ {
-		if s.ShouldRecord(n) {
+	for _, r := range rec {
+		if r {
 			recorded++
 		}
 	}
@@ -149,19 +163,19 @@ func TestSamplerWindow(t *testing.T) {
 		t.Errorf("Rate = %v, want 0.1", s.Rate())
 	}
 	// First access of every interval must be recorded.
-	if !s.ShouldRecord(1) || !s.ShouldRecord(101) {
+	if !rec[1] || !rec[101] {
 		t.Error("interval-initial access not recorded")
 	}
-	if s.ShouldRecord(11) || s.ShouldRecord(100) {
+	if rec[11] || rec[100] {
 		t.Error("post-burst access recorded")
 	}
 }
 
 func TestSamplerDisabled(t *testing.T) {
 	s := Sampler{}
-	for n := uint64(1); n < 100; n++ {
-		if !s.ShouldRecord(n) {
-			t.Fatal("disabled sampler skipped an access")
+	for n, r := range recordedAfter(s, 99)[1:] {
+		if !r {
+			t.Fatalf("disabled sampler skipped access %d", n+1)
 		}
 	}
 	if s.Rate() != 1 {

@@ -11,17 +11,17 @@
 // conservatively; pairs estimated above the line's per-word average graduate
 // to *verification*: a virtual line is constructed (centered on the pair per
 // Figure 4, or the even-aligned doubled line) and real cache invalidations
-// on it are tracked with a history table exactly as physical detection does.
+// on it are counted by a detect.Track over the span — the tracker physical
+// detection uses, with the same history-table and sampling rules.
 package predict
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"predator/internal/cacheline"
 	"predator/internal/detect"
-	"predator/internal/histtable"
 	"predator/internal/obs"
 	"predator/internal/obs/flight"
 	"predator/internal/resilience"
@@ -180,104 +180,20 @@ func FindPairsFused(cur, adj *detect.Track, geom cacheline.Geometry, fuseFactors
 	return out
 }
 
-// VTrack verifies one predicted virtual line (paper §3.4): it owns a history
-// table and counts real cache invalidations among the accesses that fall
-// inside the virtual line's span.
-//
-//predlint:ignore padcheck allocation-dense per-virtual-line state (one VTrack per predicted line); counters are bumped on the sampled path only
+// VTrack verifies one predicted virtual line (paper §3.4): the embedded
+// detect.Track spans the virtual line and counts real cache invalidations
+// among the accesses that fall inside it, with the same history-table,
+// sampling (§2.4.3) and flight-recording rules as a physical tracked line.
+// It keeps no word detail: predicted findings take theirs from the physical
+// lines the span covers.
 type VTrack struct {
-	Pair HotPair // provenance: the hot pair that created this track
-
-	sampler       detect.Sampler
-	accesses      atomic.Uint64
-	recorded      atomic.Uint64
-	invalidations atomic.Uint64
-	hist          histtable.Table
-
-	// Flight recording (set at registration, before the track is routed to;
-	// nil/zero when flight is disabled). regClock is the access-clock tick
-	// the virtual line was registered at — the start of its verification
-	// chain; flagSeq/flagClock capture the instant verified invalidations
-	// reached the report threshold.
-	rec             *flight.Recorder
-	regClock        uint64
-	reportThreshold uint64
-	flagSeq         atomic.Uint64
-	flagClock       atomic.Uint64
-}
-
-// NewVTrack creates verification state for a candidate pair. Virtual lines
-// sample with the same policy as physical tracked lines (§2.4.3), so
-// verified invalidation counts scale with the sampling rate exactly like
-// observed ones.
-func NewVTrack(pair HotPair, sampler detect.Sampler) *VTrack {
-	return &VTrack{Pair: pair, sampler: sampler}
+	Pair     HotPair // provenance: the hot pair that created this track
+	RegClock uint64  // access-clock tick of registration (0 when flight recording is off)
+	*detect.Track
 }
 
 // Span returns the tracked virtual line.
 func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
-
-// HandleAccess feeds one access through the virtual line's history table if
-// it overlaps the span, and reports whether it invalidated the virtual line.
-func (v *VTrack) HandleAccess(tid int, addr, size uint64, isWrite bool) bool {
-	if !v.Pair.Span.Overlaps(addr, size) {
-		return false
-	}
-	n := v.accesses.Add(1)
-	if !v.sampler.ShouldRecord(n) {
-		return false
-	}
-	r := v.recorded.Add(1)
-	invalidated := v.hist.Access(tid, isWrite)
-	var inv uint64
-	if invalidated {
-		inv = v.invalidations.Add(1)
-	}
-	// Decimated like physical tracks: invalidations always land in the ring,
-	// ordinary accesses one in flight.RecordStride (see detect.Track).
-	if v.rec != nil && (invalidated || r&(flight.RecordStride-1) == 0) {
-		w := 0
-		if addr > v.Pair.Span.Start {
-			w = int((addr - v.Pair.Span.Start) >> cacheline.WordShift)
-		}
-		tick := v.rec.Record(tid, w, isWrite, invalidated)
-		if invalidated && v.reportThreshold != 0 && inv == v.reportThreshold {
-			// Add's return value is unique per increment, so exactly one
-			// access observes == threshold; the CAS keeps a replayed flag
-			// from overwriting the first capture.
-			if v.flagSeq.CompareAndSwap(0, inv) {
-				v.flagClock.Store(tick)
-			}
-		}
-	}
-	return invalidated
-}
-
-// RegClock returns the access-clock tick the virtual line was registered at
-// (0 when flight recording is disabled).
-func (v *VTrack) RegClock() uint64 { return v.regClock }
-
-// FlagInfo returns the clock tick at which verified invalidations reached
-// the report threshold and whether that happened yet.
-func (v *VTrack) FlagInfo() (clock uint64, flagged bool) {
-	if v.flagSeq.Load() == 0 {
-		return 0, false
-	}
-	return v.flagClock.Load(), true
-}
-
-// FlightRecords returns the virtual line's recorded access tail, oldest
-// first (nil when flight recording is disabled).
-func (v *VTrack) FlightRecords() []flight.Record { return v.rec.Snapshot() }
-
-// Invalidations returns verified invalidations on the virtual line.
-func (v *VTrack) Invalidations() uint64 { return v.invalidations.Load() }
-
-// Accesses returns the number of accesses that hit the virtual line.
-func (v *VTrack) Accesses() uint64 { return v.accesses.Load() }
-
-// Recorded returns how many of those accesses were recorded in detail.
-func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 
 // Registry routes accesses to the virtual lines they overlap. Virtual lines
 // are registered under every physical line index they intersect, so the
@@ -386,11 +302,11 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 		return nil
 	}
 	r.spans[pair.Span] = true
-	v := NewVTrack(pair, r.sampler)
+	v := &VTrack{Pair: pair, Track: detect.NewSpanTrack(pair.Span.Start, r.sampler)}
 	if r.fclock != nil {
-		v.rec = flight.NewRecorder(r.fclock, r.fdepth)
-		v.regClock = r.fclock.Now()
-		v.reportThreshold = r.freport
+		v.ArmFlight(flight.NewRecorder(r.fclock, r.fdepth))
+		v.SetReportThreshold(r.freport)
+		v.RegClock = r.fclock.Now()
 	}
 	r.all = append(r.all, v)
 	first := r.geom.Index(pair.Span.Start)
@@ -419,20 +335,13 @@ func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 	r.mu.RUnlock()
 	inv := 0
 	for _, v := range tracks {
-		if v.HandleAccess(tid, addr, size, isWrite) {
+		if v.Pair.Span.Overlaps(addr, size) && v.Track.HandleAccess(tid, addr, size, isWrite) {
 			inv++
 		}
 	}
 	for _, v := range spill {
 		// Avoid double-handling tracks registered under both lines.
-		dup := false
-		for _, u := range tracks {
-			if u == v {
-				dup = true
-				break
-			}
-		}
-		if !dup && v.HandleAccess(tid, addr, size, isWrite) {
+		if !slices.Contains(tracks, v) && v.Pair.Span.Overlaps(addr, size) && v.Track.HandleAccess(tid, addr, size, isWrite) {
 			inv++
 		}
 	}

@@ -184,17 +184,17 @@ func TestFindPairsLowEstimateDropped(t *testing.T) {
 }
 
 func TestVTrackVerification(t *testing.T) {
-	pair := HotPair{
+	r := NewRegistry(geom, detect.Sampler{})
+	v := r.Add(HotPair{
 		X:    HotWord{Addr: base + 56, Writes: 100, Thread: 1},
 		Y:    HotWord{Addr: base + 64, Writes: 100, Thread: 2},
 		Span: cacheline.NewVirtual(base+28, 64),
 		Kind: KindAlignment,
-	}
-	v := NewVTrack(pair, detect.Sampler{})
+	})
 	// Interleaved writes inside the span invalidate.
 	for i := 0; i < 10; i++ {
-		v.HandleAccess(1, base+56, 8, true)
-		v.HandleAccess(2, base+64, 8, true)
+		r.Route(1, base+56, 8, true)
+		r.Route(2, base+64, 8, true)
 	}
 	if v.Invalidations() != 19 {
 		t.Errorf("invalidations = %d, want 19", v.Invalidations())
@@ -202,9 +202,12 @@ func TestVTrackVerification(t *testing.T) {
 	if v.Accesses() != 20 {
 		t.Errorf("accesses = %d, want 20", v.Accesses())
 	}
-	// Accesses outside the span are ignored.
+	// Accesses outside the span are ignored, also on a line the span
+	// covers.
 	before := v.Accesses()
-	v.HandleAccess(3, base+500, 8, true)
+	r.Route(3, base+500, 8, true)
+	r.Route(3, base+16, 8, true)
+	r.Route(3, base+92, 8, true)
 	if v.Accesses() != before {
 		t.Error("out-of-span access counted")
 	}
