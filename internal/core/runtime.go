@@ -168,7 +168,9 @@ type Runtime struct {
 	// Span tracing: parent is the enclosing pipeline span detector-phase
 	// spans (predict.search, report.collect) nest under. The harness swaps
 	// it at phase boundaries via SetSpan; nil (or a nil observer tracer)
-	// leaves the detector span-free.
+	// leaves the detector span-free. The pad keeps these phase-boundary
+	// writes off the line of vactive, which every access reads.
+	_          [24]byte
 	spanParent atomic.Pointer[spans.Span]
 
 	// Flight recording (tentpole: causal timeline tracing). fclock is nil
@@ -183,7 +185,7 @@ type Runtime struct {
 	phases []flight.PhaseSpan
 
 	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_             [32]byte
+	_             [8]byte
 	totalAccesses atomic.Uint64
 	_             [56]byte
 	totalWrites   atomic.Uint64

@@ -132,11 +132,16 @@ type Config struct {
 // Tracer mints spans for one trace and buffers the finished ones.
 // All methods are safe on a nil receiver and safe for concurrent use.
 type Tracer struct {
-	slots   []atomic.Pointer[Span]
-	mask    uint64
+	slots []atomic.Pointer[Span]
+	mask  uint64
+	// predlint padcheck: pads keep each contended counter on its own cache line.
+	_       [32]byte
 	next    atomic.Uint64
+	_       [56]byte
 	dropped atomic.Uint64
+	_       [56]byte
 	clock   atomic.Uint64 // logical span clock: ticks at every start/end
+	_       [56]byte
 	rng     atomic.Uint64 // splitmix64 state for ID generation
 	traceID TraceID
 	epoch   time.Time // monotonic anchor for mono-nanosecond stamps
