@@ -232,50 +232,3 @@ func Mirror(h *mem.Heap, w *Writer) {
 		_ = w.WriteEvent(Event{Op: OpFree, Addr: start})
 	})
 }
-
-// RecordingHeap wraps a heap so that allocations, frees and globals are
-// mirrored into a trace Writer. The instrumentation front-end records
-// accesses by using the Writer (or a Tee) as its sink.
-type RecordingHeap struct {
-	*mem.Heap
-	W *Writer
-}
-
-// Alloc allocates and records the allocation.
-func (rh *RecordingHeap) Alloc(thread int, size uint64, skip int) (uint64, error) {
-	addr, err := rh.Heap.Alloc(thread, size, skip+1)
-	if err == nil {
-		err = rh.W.WriteEvent(Event{Op: OpAlloc, TID: int32(thread), Addr: addr, Size: size})
-	}
-	return addr, err
-}
-
-// Free frees and records the deallocation.
-func (rh *RecordingHeap) Free(addr uint64) error {
-	if err := rh.Heap.Free(addr); err != nil {
-		return err
-	}
-	return rh.W.WriteEvent(Event{Op: OpFree, Addr: addr})
-}
-
-// DefineGlobal registers a global and records it.
-func (rh *RecordingHeap) DefineGlobal(name string, size uint64) (uint64, error) {
-	addr, err := rh.Heap.DefineGlobal(name, size)
-	if err == nil {
-		err = rh.W.WriteEvent(Event{Op: OpGlobal, Addr: addr, Size: size, Name: name})
-	}
-	return addr, err
-}
-
-// Tee is an instr.Sink that forwards each access to several sinks — e.g. the
-// live runtime and a trace Writer simultaneously.
-type Tee []interface {
-	HandleAccess(tid int, addr, size uint64, isWrite bool)
-}
-
-// HandleAccess forwards to every sink in order.
-func (t Tee) HandleAccess(tid int, addr, size uint64, isWrite bool) {
-	for _, s := range t {
-		s.HandleAccess(tid, addr, size, isWrite)
-	}
-}

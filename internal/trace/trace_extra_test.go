@@ -112,25 +112,26 @@ func TestReplayBadHeaderGeometry(t *testing.T) {
 	}
 }
 
-func TestRecordingHeapMirrorsOperations(t *testing.T) {
+func TestMirrorRecordsOperations(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, testHeader())
 	h, _ := mem.NewHeap(mem.Config{Base: 0x400000000, Size: 4 << 20})
-	rh := &RecordingHeap{Heap: h, W: w}
+	Mirror(h, w)
 
-	addr, err := rh.Alloc(2, 96, 0)
+	addr, err := h.Alloc(2, 96, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rh.DefineGlobal("cfg", 32)
+	g, err := h.DefineGlobal("cfg", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rh.Free(addr); err != nil {
+	if err := h.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := rh.Free(addr); err == nil {
-		t.Error("double free through RecordingHeap accepted")
+	// A refused double free must not be recorded as a second OpFree.
+	if err := h.Free(addr); err == nil {
+		t.Error("double free on a mirrored heap accepted")
 	}
 	w.Flush()
 

@@ -145,8 +145,8 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-// record runs a small false-sharing workload while teeing accesses into a
-// trace, returning the encoded trace.
+// record runs a small false-sharing workload while recording its accesses
+// and allocations into a trace, returning the encoded trace.
 func record(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
@@ -158,12 +158,12 @@ func record(t *testing.T) *bytes.Buffer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh := &RecordingHeap{Heap: h, W: w}
+	Mirror(h, w)
 	in := instr.New(h, w, instr.Policy{})
 	t1, t2 := in.NewThread("a"), in.NewThread("b")
 	w.WriteEvent(Event{Op: OpThread, TID: 0, Name: "a"})
 	w.WriteEvent(Event{Op: OpThread, TID: 1, Name: "b"})
-	addr, err := rh.Alloc(t1.ID(), 64, 0)
+	addr, err := h.Alloc(t1.ID(), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,23 +254,6 @@ func TestReplayRejectsCorruptAlloc(t *testing.T) {
 	}
 }
 
-func TestTeeFansOut(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, testHeader())
-	h, _ := mem.NewHeap(mem.Config{Size: 1 << 20})
-	rt, _ := core.NewRuntime(h, replayConfig())
-	tee := Tee{rt, w}
-	tee.HandleAccess(0, h.Base(), 8, true)
-	w.Flush()
-	if rt.Stats().Accesses != 1 {
-		t.Error("runtime missed teed access")
-	}
-	r, _ := NewReader(&buf)
-	if e, err := r.Next(); err != nil || e.Op != OpWrite {
-		t.Errorf("trace missed teed access: %+v, %v", e, err)
-	}
-}
-
 func BenchmarkWriteEvent(b *testing.B) {
 	w, _ := NewWriter(io.Discard, testHeader())
 	b.ResetTimer()
@@ -279,8 +262,18 @@ func BenchmarkWriteEvent(b *testing.B) {
 	}
 }
 
-// TestRecordReplayParity is the fidelity contract: one live run teed into a
-// trace must replay to the same core.Stats and the same findings the live
+// fanOut forwards each access to several sinks in order: here the live
+// runtime and the trace Writer recording the same run.
+type fanOut []instr.Sink
+
+func (f fanOut) HandleAccess(tid int, addr, size uint64, isWrite bool) {
+	for _, s := range f {
+		s.HandleAccess(tid, addr, size, isWrite)
+	}
+}
+
+// TestRecordReplayParity is the fidelity contract: one live run recorded into
+// a trace must replay to the same core.Stats and the same findings the live
 // runtime produced. Frees are part of the contract — the runtime recycles
 // line metadata on free, so a trace missing OpFree events would diverge.
 func TestRecordReplayParity(t *testing.T) {
@@ -300,7 +293,7 @@ func TestRecordReplayParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := instr.New(h, Tee{rt, w}, instr.Policy{})
+	in := instr.New(h, fanOut{rt, w}, instr.Policy{})
 	t1, t2 := in.NewThread("a"), in.NewThread("b")
 
 	// Falsely-shared object: two threads hammer adjacent words.
