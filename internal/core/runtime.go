@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +138,12 @@ func (c Config) fuseFactors() []int {
 	}
 	return c.LineSizeFactors
 }
+
+// ElideMargin returns the static-elision keep-out margin in whole lines for
+// this configuration: the largest effective fusion factor minus one, so an
+// elided access can never share a physical or predicted virtual line with a
+// neighbouring object (elide.NewBinder).
+func (c Config) ElideMargin() int { return slices.Max(c.fuseFactors()) - 1 }
 
 // DefaultConfig returns the paper's default configuration with prediction
 // enabled.

@@ -521,3 +521,23 @@ func TestLineSizeFactorValidation(t *testing.T) {
 		t.Error("factor 1 accepted")
 	}
 }
+
+// TestElideMargin pins the elision keep-out margin to the effective fusion
+// factors: the default set is the paper's doubled line, so one line.
+func TestElideMargin(t *testing.T) {
+	for _, c := range []struct {
+		factors []int
+		want    int
+	}{
+		{nil, 1},
+		{[]int{2}, 1},
+		{[]int{4, 2}, 3},
+		{[]int{2, 8}, 7},
+	} {
+		cfg := DefaultConfig()
+		cfg.LineSizeFactors = c.factors
+		if got := cfg.ElideMargin(); got != c.want {
+			t.Errorf("factors %v: ElideMargin = %d, want %d", c.factors, got, c.want)
+		}
+	}
+}

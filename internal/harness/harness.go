@@ -410,13 +410,13 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 	var err error
 	var rt *core.Runtime
 	var sink instr.Sink
+	cfg := core.DefaultConfig()
+	if opts.Runtime != nil {
+		cfg = *opts.Runtime
+	}
 	if sinkOverride != nil {
 		sink = sinkOverride
 	} else if opts.Mode != ModeNative {
-		cfg := core.DefaultConfig()
-		if opts.Runtime != nil {
-			cfg = *opts.Runtime
-		}
 		cfg.Prediction = opts.Mode == ModePredict
 		if opts.Observer != nil {
 			cfg.Observer = opts.Observer
@@ -440,14 +440,14 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 	if opts.Elide != nil && sink != nil {
 		esp := tracer.Start("elide.bind", opts.Span)
 		esp.SetAttr("entries", uint64(len(opts.Elide.Entries)))
-		binder, berr := elide.NewBinder(opts.Elide, h.Geometry(), elideMargin(opts))
+		binder, berr := elide.NewBinder(opts.Elide, h.Geometry(), cfg.ElideMargin())
 		if berr != nil {
 			esp.End()
 			return nil, fmt.Errorf("harness: elision manifest: %w", berr)
 		}
 		binder.Attach(h)
 		in.SetElision(binder)
-		esp.SetAttr("margin_lines", uint64(elideMargin(opts)))
+		esp.SetAttr("margin_lines", uint64(cfg.ElideMargin()))
 		esp.End()
 	}
 
@@ -528,24 +528,6 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 		runtime.KeepAlive(in)
 	}
 	return res, nil
-}
-
-// elideMargin sizes the binder's keep-out margin in lines: the largest
-// prediction fusion factor minus one, so an elided access can never share a
-// physical or predicted virtual line with a neighboring object. Mirrors
-// core's default factor set when no runtime override is given.
-func elideMargin(opts Options) int {
-	factors := []int{2}
-	if opts.Runtime != nil && len(opts.Runtime.LineSizeFactors) > 0 {
-		factors = opts.Runtime.LineSizeFactors
-	}
-	max := 1
-	for _, f := range factors {
-		if f > max {
-			max = f
-		}
-	}
-	return max - 1
 }
 
 // goHeapBytes returns post-GC Go heap usage, the reproduction's analog of
