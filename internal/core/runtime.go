@@ -214,25 +214,27 @@ type Runtime struct {
 	// every obs.SyncBatch-th event, and flushMetrics pushes exact totals at
 	// snapshot points, so attaching a metrics-only observer costs one
 	// predictable branch per access instead of atomic adds.
-	obs            *obs.Observer
-	self           *obs.SelfProfiler // sampled hot-path self-timing; usually nil
-	_              [40]byte
-	obsInvs        atomic.Uint64 // invalidations seen while observed
-	pushedAccesses atomic.Uint64
-	pushedWrites   atomic.Uint64
-	pushedInvs     atomic.Uint64
-	accessesC      *obs.Counter
-	writesC        *obs.Counter
-	invC           *obs.Counter
-	promotionsC    *obs.Counter
-	hotPairsC      *obs.Counter
-	trackedG       *obs.Gauge
-	evictionsC     *obs.Counter
-	degradedG      *obs.Gauge
-	degradedModeG  *obs.Gauge
-	predictH       *obs.Histogram
-	reportH        *obs.Histogram
-	lineInvH       *obs.Histogram
+	obs             *obs.Observer
+	self            *obs.SelfProfiler // sampled hot-path self-timing; usually nil
+	_               [40]byte
+	obsInvs         atomic.Uint64 // invalidations seen while observed
+	pushedAccesses  atomic.Uint64
+	pushedDelivered atomic.Uint64
+	pushedWrites    atomic.Uint64
+	pushedInvs      atomic.Uint64
+	accessesC       *obs.Counter
+	deliveredC      *obs.Counter
+	writesC         *obs.Counter
+	invC            *obs.Counter
+	promotionsC     *obs.Counter
+	hotPairsC       *obs.Counter
+	trackedG        *obs.Gauge
+	evictionsC      *obs.Counter
+	degradedG       *obs.Gauge
+	degradedModeG   *obs.Gauge
+	predictH        *obs.Histogram
+	reportH         *obs.Histogram
+	lineInvH        *obs.Histogram
 }
 
 // NewRuntime attaches a runtime to a heap. It installs the heap's free hook
@@ -275,6 +277,8 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 		reg := o.Metrics()
 		rt.accessesC = reg.Counter("predator_accesses_total",
 			"Memory accesses delivered to the runtime.")
+		rt.deliveredC = reg.Counter("predator_events_delivered_total",
+			"Instrumentation events delivered to the runtime sink.")
 		rt.writesC = reg.Counter("predator_writes_total",
 			"Write accesses delivered to the runtime.")
 		rt.invC = reg.Counter("predator_invalidations_total",
@@ -336,6 +340,7 @@ func (rt *Runtime) HandleAccess(tid int, addr, size uint64, isWrite bool) {
 	n := rt.totalAccesses.Add(1)
 	if n&(obs.SyncBatch-1) == 0 {
 		obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
+		obs.SyncCounter(rt.deliveredC, n, &rt.pushedDelivered)
 		if rt.self != nil {
 			// Self-profiling times one full access per SyncBatch: the
 			// histogram mean approximates the per-access instrumented cost
@@ -648,7 +653,9 @@ func (rt *Runtime) flushMetrics() {
 	if rt.obs == nil {
 		return
 	}
-	obs.SyncCounter(rt.accessesC, rt.totalAccesses.Load(), &rt.pushedAccesses)
+	n := rt.totalAccesses.Load()
+	obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
+	obs.SyncCounter(rt.deliveredC, n, &rt.pushedDelivered)
 	obs.SyncCounter(rt.writesC, rt.totalWrites.Load(), &rt.pushedWrites)
 	obs.SyncCounter(rt.invC, rt.obsInvs.Load(), &rt.pushedInvs)
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) { t.FlushMetrics() })

@@ -501,13 +501,13 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 	in.FlushMetrics()
 	res.Elided = in.Elided()
 	// Overhead attribution: the workload span carries the per-component
-	// counters — what the front-end dispatched, suppressed, and elided, and
-	// what the detector tracked and invalidated during execution.
-	wsp.SetAttr("accesses_dispatched", in.Delivered())
+	// counters — what the front-end suppressed and elided, and what the
+	// detector received, tracked and invalidated during execution.
 	wsp.SetAttr("suppressed", in.Suppressed())
 	wsp.SetAttr("elided", res.Elided)
 	if rt != nil {
 		st := rt.Stats()
+		wsp.SetAttr("accesses_dispatched", st.Accesses)
 		wsp.SetAttr("accesses", st.Accesses)
 		wsp.SetAttr("invalidations", st.Invalidations)
 		wsp.SetAttr("tracked_lines", uint64(st.TrackedLines))

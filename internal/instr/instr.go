@@ -10,8 +10,11 @@
 // policy: writes-only instrumentation (detecting write-write false sharing
 // only, as SHERIFF does), per-site deduplication (the pass instruments each
 // access expression once per basic block — emulated by dropping immediately
-// repeated (address, type) events per thread), and function black/whitelists
+// repeated (line, type) events per thread), and function black/whitelists
 // keyed by a thread's current scope.
+//
+// The front-end counts only policy outcomes (suppressed, elided, faulted);
+// the runtime counts the delivered accesses.
 package instr
 
 import (
@@ -97,26 +100,25 @@ type Elider interface {
 
 // Instrumenter owns the heap/runtime binding and mints Thread handles.
 type Instrumenter struct {
-	heap   *mem.Heap
-	data   []byte
-	base   uint64
-	sink   Sink
-	policy Policy
-	elider Elider // static elision fast path; nil = no manifest loaded
+	heap      *mem.Heap
+	data      []byte
+	base      uint64
+	lineShift uint // heap line size as a shift: dedup keys on addr >> lineShift
+	sink      Sink
+	policy    Policy
+	elider    Elider // static elision fast path; nil = no manifest loaded
 
 	// tid → label, for timeline track naming. NewThread is cold path.
 	tmu    sync.Mutex
 	tnames map[int]string
 
 	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_          [40]byte
+	_          [32]byte
 	enabled    atomic.Bool
 	_          [60]byte
 	strict     atomic.Bool // panic on out-of-heap access (default true)
 	_          [56]byte
 	nextTID    atomic.Int64
-	_          [56]byte
-	delivered  atomic.Uint64
 	_          [56]byte
 	suppressed atomic.Uint64
 	_          [56]byte
@@ -128,11 +130,9 @@ type Instrumenter struct {
 	// run). Counters are batched: notify syncs the registry every
 	// obs.SyncBatch-th event and FlushMetrics pushes exact totals.
 	obs              *obs.Observer
-	deliveredC       *obs.Counter
 	suppressedC      *obs.Counter
 	faultsC          *obs.Counter
 	elidedC          *obs.Counter
-	pushedDelivered  atomic.Uint64
 	pushedSuppressed atomic.Uint64
 	pushedElided     atomic.Uint64
 }
@@ -142,7 +142,8 @@ type Instrumenter struct {
 // nothing — the baseline for overhead measurements.
 func New(h *mem.Heap, sink Sink, policy Policy) *Instrumenter {
 	data, base := h.Backing()
-	in := &Instrumenter{heap: h, data: data, base: base, sink: sink, policy: policy}
+	in := &Instrumenter{heap: h, data: data, base: base, lineShift: h.Geometry().Shift(),
+		sink: sink, policy: policy}
 	in.enabled.Store(sink != nil)
 	in.strict.Store(true)
 	return in
@@ -151,8 +152,8 @@ func New(h *mem.Heap, sink Sink, policy Policy) *Instrumenter {
 // Heap returns the bound heap.
 func (in *Instrumenter) Heap() *mem.Heap { return in.heap }
 
-// Observe attaches an observability layer: delivered/suppressed event
-// counters and — when the observer traces — a thread-creation event per
+// Observe attaches an observability layer: suppressed/elided event and
+// fault counters and — when the observer traces — a thread-creation event per
 // NewThread. Call before minting threads; a nil observer is a no-op.
 func (in *Instrumenter) Observe(o *obs.Observer) {
 	if o == nil {
@@ -160,8 +161,6 @@ func (in *Instrumenter) Observe(o *obs.Observer) {
 	}
 	in.obs = o
 	reg := o.Metrics()
-	in.deliveredC = reg.Counter("predator_events_delivered_total",
-		"Instrumentation events delivered to the runtime sink.")
 	in.suppressedC = reg.Counter("predator_events_suppressed_total",
 		"Instrumentation events dropped by policy or per-site deduplication.")
 	in.faultsC = reg.Counter("predator_heap_faults_total",
@@ -180,11 +179,10 @@ func (in *Instrumenter) SetElision(e Elider) { in.elider = e }
 // path.
 func (in *Instrumenter) Elided() uint64 { return in.elided.Load() }
 
-// FlushMetrics pushes the exact delivered/suppressed totals into the
+// FlushMetrics pushes the exact suppressed/elided totals into the
 // registry; the notify hot path batches pushes to every obs.SyncBatch-th
 // event. Safe to call on an unobserved instrumenter (no-op).
 func (in *Instrumenter) FlushMetrics() {
-	obs.SyncCounter(in.deliveredC, in.delivered.Load(), &in.pushedDelivered)
 	obs.SyncCounter(in.suppressedC, in.suppressed.Load(), &in.pushedSuppressed)
 	obs.SyncCounter(in.elidedC, in.elided.Load(), &in.pushedElided)
 }
@@ -203,9 +201,6 @@ func (in *Instrumenter) Strict() bool { return in.strict.Load() }
 // Faults returns the total out-of-heap accesses absorbed across all threads
 // (always 0 in strict mode, which panics instead).
 func (in *Instrumenter) Faults() uint64 { return in.faults.Load() }
-
-// Delivered returns the number of events delivered to the sink.
-func (in *Instrumenter) Delivered() uint64 { return in.delivered.Load() }
 
 // Suppressed returns the number of events dropped by policy or dedup.
 func (in *Instrumenter) Suppressed() uint64 { return in.suppressed.Load() }
@@ -321,7 +316,7 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 			t.ringPos = 0
 		}
 		t.evCount++
-		key := (addr >> 6 << 1)
+		key := addr >> in.lineShift << 1
 		if isWrite {
 			key |= 1
 		}
@@ -339,9 +334,6 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 		if t.ringLen < dedupSlots {
 			t.ringLen++
 		}
-	}
-	if dn := in.delivered.Add(1); dn&(obs.SyncBatch-1) == 0 {
-		obs.SyncCounter(in.deliveredC, dn, &in.pushedDelivered)
 	}
 	in.sink.HandleAccess(t.id, addr, size, isWrite)
 }

@@ -1,6 +1,7 @@
 package synthetic
 
 import (
+	"fmt"
 	"testing"
 
 	"predator/internal/core"
@@ -37,36 +38,57 @@ func run(t *testing.T, name string, opts harness.Options) *harness.Result {
 	return res
 }
 
+// forEachGrain runs check once per deterministic-scheduler grain, as a
+// subtest. The runAt it hands over executes a workload with 4 threads under
+// the deterministic scheduler at that grain, so each verdict is reproducible
+// and must hold at fine and coarse interleavings alike.
+func forEachGrain(t *testing.T, check func(t *testing.T, runAt func(name string, opts harness.Options) *harness.Result)) {
+	for _, grain := range []int{4, 16, 64} {
+		t.Run(fmt.Sprintf("grain%d", grain), func(t *testing.T) {
+			check(t, func(name string, opts harness.Options) *harness.Result {
+				opts.Deterministic, opts.DeterministicGrain, opts.Threads = true, grain, 4
+				return run(t, name, opts)
+			})
+		})
+	}
+}
+
 func TestWWShareDetectedAndFixed(t *testing.T) {
-	buggy := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
-	if !buggy.FalseSharingFound() {
-		t.Error("write-write false sharing not detected")
-	}
-	fixed := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: false})
-	if fixed.FalseSharingFound() {
-		t.Errorf("padded variant flagged:\n%s", fixed.Report.String())
-	}
+	forEachGrain(t, func(t *testing.T, runAt func(string, harness.Options) *harness.Result) {
+		buggy := runAt("ww_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+		if !buggy.FalseSharingFound() {
+			t.Error("write-write false sharing not detected")
+		}
+		fixed := runAt("ww_share", harness.Options{Mode: harness.ModePredict, Buggy: false})
+		if fixed.FalseSharingFound() {
+			t.Errorf("padded variant flagged:\n%s", fixed.Report.String())
+		}
+	})
 }
 
 func TestRWShareNeedsReadInstrumentation(t *testing.T) {
-	// Full instrumentation sees the read-write false sharing...
-	full := run(t, "rw_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
-	if !full.FalseSharingFound() {
-		t.Fatal("read-write false sharing not detected with full instrumentation")
-	}
-	// ...SHERIFF-style writes-only instrumentation is blind to it: with
-	// one writer and silent readers there is no multi-thread write
-	// pattern at all.
-	wo := run(t, "rw_share", harness.Options{
-		Mode: harness.ModePredict, Buggy: true,
-		Policy: instr.Policy{WritesOnly: true},
+	forEachGrain(t, func(t *testing.T, runAt func(string, harness.Options) *harness.Result) {
+		// Full instrumentation sees the read-write false sharing...
+		full := runAt("rw_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+		if !full.FalseSharingFound() {
+			t.Fatal("read-write false sharing not detected with full instrumentation")
+		}
+		// ...SHERIFF-style writes-only instrumentation is blind to it: with
+		// one writer and silent readers there is no multi-thread write
+		// pattern at all.
+		wo := runAt("rw_share", harness.Options{
+			Mode: harness.ModePredict, Buggy: true,
+			Policy: instr.Policy{WritesOnly: true},
+		})
+		if wo.FalseSharingFound() {
+			t.Errorf("writes-only instrumentation claims to see read-write FS:\n%s",
+				wo.Report.String())
+		}
 	})
-	if wo.FalseSharingFound() {
-		t.Errorf("writes-only instrumentation claims to see read-write FS:\n%s",
-			wo.Report.String())
-	}
 }
 
+// TestTrueShareNeverFalse stays free-running: true_share does not finish
+// under the deterministic scheduler.
 func TestTrueShareNeverFalse(t *testing.T) {
 	res := run(t, "true_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
 	if res.FalseSharingFound() {
@@ -84,26 +106,30 @@ func TestTrueShareNeverFalse(t *testing.T) {
 }
 
 func TestLatentShareOnlyPredicted(t *testing.T) {
-	np := run(t, "latent_share", harness.Options{Mode: harness.ModeDetect, Buggy: true})
-	if np.FalseSharingFound() {
-		t.Error("latent pattern observed physically without prediction")
-	}
-	full := run(t, "latent_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
-	if !full.FalseSharingFound() {
-		t.Fatal("latent pattern not predicted")
-	}
-	if !full.PredictedOnly() {
-		t.Error("latent pattern should be predicted-only")
-	}
+	forEachGrain(t, func(t *testing.T, runAt func(string, harness.Options) *harness.Result) {
+		np := runAt("latent_share", harness.Options{Mode: harness.ModeDetect, Buggy: true})
+		if np.FalseSharingFound() {
+			t.Error("latent pattern observed physically without prediction")
+		}
+		full := runAt("latent_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+		if !full.FalseSharingFound() {
+			t.Fatal("latent pattern not predicted")
+		}
+		if !full.PredictedOnly() {
+			t.Error("latent pattern should be predicted-only")
+		}
+	})
 }
 
 func TestLatentShareManifestsWhenShifted(t *testing.T) {
-	res := run(t, "latent_share", harness.Options{
-		Mode: harness.ModeDetect, Buggy: true, Offset: 24,
+	forEachGrain(t, func(t *testing.T, runAt func(string, harness.Options) *harness.Result) {
+		res := runAt("latent_share", harness.Options{
+			Mode: harness.ModeDetect, Buggy: true, Offset: 24,
+		})
+		if !res.FalseSharingFound() {
+			t.Error("shifted latent pattern not physically observed")
+		}
 	})
-	if !res.FalseSharingFound() {
-		t.Error("shifted latent pattern not physically observed")
-	}
 }
 
 // Deterministic mode: identical runs produce byte-identical counts.

@@ -287,7 +287,7 @@ type Stats struct {
 	Invalidations        uint64 // invalidations observed on tracked lines
 	VirtualInvalidations uint64 // invalidations verified on virtual lines
 	SampledAccesses      uint64 // accesses recorded in detail (post-sampling)
-	Delivered            uint64 // events delivered by the instrumentation front-end
+	Delivered            uint64 // events delivered to the runtime: the same count as Accesses
 	Suppressed           uint64 // events dropped by instrumentation policy
 	HeapLive             uint64 // live simulated-heap bytes
 	HeapUsed             uint64 // carved simulated-heap bytes
@@ -306,7 +306,6 @@ func (d *Detector) Stats() Stats {
 	d.in.FlushMetrics()
 	hs := d.heap.Stats()
 	s := Stats{
-		Delivered:  d.in.Delivered(),
 		Suppressed: d.in.Suppressed(),
 		HeapLive:   hs.LiveBytes,
 		HeapUsed:   hs.UsedBytes,
@@ -315,6 +314,7 @@ func (d *Detector) Stats() Stats {
 	if d.rt != nil {
 		rs := d.rt.Stats()
 		s.Accesses = rs.Accesses
+		s.Delivered = rs.Accesses
 		s.Writes = rs.Writes
 		s.TrackedLines = rs.TrackedLines
 		s.VirtualLines = rs.VirtualLines

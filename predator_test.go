@@ -1,6 +1,7 @@
 package predator
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,45 @@ func TestEndToEndObservedFalseSharing(t *testing.T) {
 	out := fs[0].Format(d.Geometry())
 	if !strings.Contains(out, "FALSE SHARING HEAP OBJECT") {
 		t.Errorf("report:\n%s", out)
+	}
+}
+
+// TestDeliveredIsRuntimeAccessCount pins the single access count: the
+// facade's Delivered and the delivered metric both read the runtime's count.
+func TestDeliveredIsRuntimeAccessCount(t *testing.T) {
+	d, err := New(Options{HeapSize: 1 << 20, Observer: NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := d.Thread("a"), d.Thread("b")
+	addr, err := t1.Alloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		t1.Store64(addr, uint64(i))
+		t2.Load64(addr + 8)
+	}
+	t1.WriteBytes(addr, nil) // zero-size: dropped by the runtime, counted nowhere
+	st := d.Stats()
+	if st.Accesses == 0 || st.Delivered != st.Accesses {
+		t.Errorf("Delivered = %d, Accesses = %d, want equal and > 0", st.Delivered, st.Accesses)
+	}
+	var b strings.Builder
+	if err := d.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			samples[f[0]] = f[1]
+		}
+	}
+	want := fmt.Sprint(st.Accesses)
+	for _, name := range []string{"predator_accesses_total", "predator_events_delivered_total"} {
+		if samples[name] != want {
+			t.Errorf("%s = %q, want %s", name, samples[name], want)
+		}
 	}
 }
 

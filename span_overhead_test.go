@@ -59,13 +59,13 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("histogram workload not registered")
 	}
-	runOnce := func() (spans.TraceID, []spans.Data) {
+	runOnce := func() (spans.TraceID, []spans.Data, *harness.Result) {
 		o := predator.NewObserver(nil)
 		tr := spans.New(spans.Config{Deterministic: true})
 		o.SetSpans(tr)
 		root := tr.Start("cli.run", nil)
 		root.SetLabel("tool", "test")
-		_, err := harness.Execute(w, harness.Options{
+		res, err := harness.Execute(w, harness.Options{
 			Mode:          harness.ModePredict,
 			Threads:       4,
 			Deterministic: true,
@@ -76,10 +76,10 @@ func TestSpanTreeDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.End()
-		return tr.TraceID(), tr.Snapshot()
+		return tr.TraceID(), tr.Snapshot(), res
 	}
-	idA, a := runOnce()
-	idB, b := runOnce()
+	idA, a, res := runOnce()
+	idB, b, _ := runOnce()
 	if idA != idB {
 		t.Errorf("deterministic trace IDs differ: %s vs %s", idA, idB)
 	}
@@ -98,6 +98,15 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	for _, want := range []string{"cli.run", "harness.setup", "harness.workload", "report.collect"} {
 		if !names[want] {
 			t.Errorf("span tree missing %s phase:\n%s", want, sigA)
+		}
+	}
+	// The workload span's dispatch count is the runtime's access count.
+	for _, d := range a {
+		if d.Name != "harness.workload" {
+			continue
+		}
+		if got, want := d.Attrs["accesses_dispatched"], res.RuntimeStats.Accesses; got != want || want == 0 {
+			t.Errorf("accesses_dispatched = %d, want runtime accesses %d (> 0)", got, want)
 		}
 	}
 }
