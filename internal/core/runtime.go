@@ -16,6 +16,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime/pprof"
@@ -168,31 +169,30 @@ type Runtime struct {
 	sh      *shadow.Memory[detect.Track]
 	sampler detect.Sampler
 
-	vreg          *predict.Registry
-	vactive       atomic.Bool     // fast-path gate: any virtual lines registered?
-	predictedBits []atomic.Uint32 // one bit per line: hot-pair search already ran
+	vreg    *predict.Registry
+	vactive atomic.Bool // fast-path gate: any virtual lines registered?
 
 	// Span tracing: parent is the enclosing pipeline span detector-phase
 	// spans (predict.search, report.collect) nest under. The harness swaps
 	// it at phase boundaries via SetSpan; nil (or a nil observer tracer)
 	// leaves the detector span-free. The pad keeps these phase-boundary
 	// writes off the line of vactive, which every access reads.
-	_          [24]byte
+	_          [52]byte
 	spanParent atomic.Pointer[spans.Span]
 
 	// Flight recording (tentpole: causal timeline tracing). fclock is nil
 	// when FlightDepth == FlightDisabled; otherwise every promoted line and
 	// registered virtual line is armed with a ring of fdepth slots on this
-	// shared clock. phases is the detector-phase journal in clock time
-	// (prediction searches, report generation), mutex-appended off the hot
-	// path.
-	fclock *flight.Clock
-	fdepth int
-	phMu   sync.Mutex
-	phases []flight.PhaseSpan
+	// shared clock. reportTick is the last Report's clock tick plus one (0:
+	// no report yet); with the tracks' search ticks it is all phaseSpans
+	// needs.
+	fclock     *flight.Clock
+	fdepth     int
+	_          [40]byte
+	reportTick atomic.Uint64
 
 	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_             [8]byte
+	_             [56]byte
 	totalAccesses atomic.Uint64
 	_             [56]byte
 	totalWrites   atomic.Uint64
@@ -250,14 +250,13 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 	}
 	sampler := detect.Sampler{Window: cfg.SampleWindow, Burst: cfg.SampleBurst}
 	rt := &Runtime{
-		cfg:           cfg,
-		heap:          h,
-		geom:          geom,
-		mapping:       mapping,
-		sh:            shadow.NewMemory[detect.Track](mapping),
-		sampler:       sampler,
-		vreg:          predict.NewRegistry(geom, sampler),
-		predictedBits: make([]atomic.Uint32, (mapping.Lines()+31)/32),
+		cfg:     cfg,
+		heap:    h,
+		geom:    geom,
+		mapping: mapping,
+		sh:      shadow.NewMemory[detect.Track](mapping),
+		sampler: sampler,
+		vreg:    predict.NewRegistry(geom, sampler),
 	}
 	if cfg.MaxTrackedLines > 0 {
 		rt.trackBudget = resilience.NewBudget(cfg.MaxTrackedLines)
@@ -406,10 +405,12 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 			}
 		}
 	}
-	if rt.cfg.Prediction && isWrite &&
-		track.Writes() >= rt.cfg.PredictionThreshold &&
-		rt.markPredicted(line) {
-		rt.runPrediction(line, track)
+	if rt.cfg.Prediction && isWrite && track.Writes() >= rt.cfg.PredictionThreshold {
+		// Plain load first: only the one write that claims the search pays
+		// the CAS and the shared clock's read.
+		if _, ran := track.SearchTick(); !ran && track.ClaimSearch(rt.fclock.Now()) {
+			rt.runPrediction(line, track)
+		}
 	}
 }
 
@@ -522,22 +523,6 @@ func (rt *Runtime) noteDegraded(line uint64, phase string) {
 	}
 }
 
-// markPredicted sets the line's prediction-done bit; it returns true only
-// for the caller that flipped the bit.
-func (rt *Runtime) markPredicted(line uint64) bool {
-	word := &rt.predictedBits[line/32]
-	bit := uint32(1) << (line % 32)
-	for {
-		old := word.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if word.CompareAndSwap(old, old|bit) {
-			return true
-		}
-	}
-}
-
 // runPrediction searches the line and its neighbours for hot access pairs
 // and registers virtual lines for verification. The work runs under the
 // pprof label predator_phase=prediction so CPU profiles attribute the §3.3
@@ -549,11 +534,9 @@ func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
 	}
 	psp := rt.tracer().Start("predict.search", rt.spanParent.Load())
 	psp.SetAttr("line", line)
-	tickStart := rt.fclock.Now()
 	var pairs int
 	pprof.Do(context.Background(), pprof.Labels("predator_phase", "prediction"),
 		func(context.Context) { pairs = rt.predictLine(line, track) })
-	rt.notePhase("prediction", line, tickStart)
 	psp.SetAttr("hot_pairs", uint64(pairs))
 	psp.End()
 	if rt.obs != nil {
@@ -561,32 +544,33 @@ func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
 	}
 }
 
-// notePhase journals one detector-phase interval in access-clock time, named
-// with the same predator_phase labels the pprof integration uses so profiles
-// and timelines line up. No-op when flight recording is disabled.
-func (rt *Runtime) notePhase(name string, line, start uint64) {
-	if rt.fclock == nil {
-		return
-	}
-	span := flight.PhaseSpan{Name: name, Line: line, Start: start, End: rt.fclock.Now()}
-	rt.phMu.Lock()
-	rt.phases = append(rt.phases, span)
-	rt.phMu.Unlock()
-}
-
-// phaseSpans copies the phase journal, prefixed with the synthetic
-// whole-run workload span (tick 1 to now).
+// phaseSpans builds the detector-phase track from the state each phase left
+// behind, named with the same predator_phase labels the pprof integration
+// uses so profiles and timelines line up: the synthetic whole-run workload
+// span (tick 1 to now), one instant per tracked line whose hot-pair search
+// ran, and the last Report's instant, ordered by tick and then line. Nil
+// when flight recording is disabled.
 func (rt *Runtime) phaseSpans() []flight.PhaseSpan {
 	if rt.fclock == nil {
 		return nil
 	}
-	rt.phMu.Lock()
-	defer rt.phMu.Unlock()
-	out := make([]flight.PhaseSpan, 0, len(rt.phases)+1)
+	var out []flight.PhaseSpan
 	if now := rt.fclock.Now(); now > 0 {
 		out = append(out, flight.PhaseSpan{Name: "workload", Start: 1, End: now})
 	}
-	return append(out, rt.phases...)
+	head := len(out)
+	rt.sh.ForEachTracked(func(line uint64, t *detect.Track) {
+		if tick, ran := t.SearchTick(); ran {
+			out = append(out, flight.PhaseSpan{Name: "prediction", Line: line, Start: tick, End: tick})
+		}
+	})
+	if v := rt.reportTick.Load(); v != 0 {
+		out = append(out, flight.PhaseSpan{Name: "report", Start: v - 1, End: v - 1})
+	}
+	slices.SortStableFunc(out[head:], func(a, b flight.PhaseSpan) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Line, b.Line))
+	})
+	return out
 }
 
 // predictLine is runPrediction's body: the §3.3 hot-pair search over the
@@ -706,10 +690,9 @@ func (rt *Runtime) Report() *report.Report {
 	}
 	var rep *report.Report
 	rsp := rt.tracer().Start("report.collect", rt.spanParent.Load())
-	tickStart := rt.fclock.Now()
+	rt.reportTick.Store(rt.fclock.Now() + 1)
 	pprof.Do(context.Background(), pprof.Labels("predator_phase", "report"),
 		func(context.Context) { rep = rt.collectReport(true, rsp) })
-	rt.notePhase("report", 0, tickStart)
 	rsp.SetAttr("findings", uint64(len(rep.Findings)))
 	rsp.End()
 	if rt.obs != nil {
@@ -825,22 +808,25 @@ func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 	return rep
 }
 
-// Stats summarizes runtime activity.
+// Stats summarizes runtime activity. It is the one declaration of the
+// counter block: the diagnostics server's /hotlines, predtop and the public
+// predator.Stats all embed it, and the JSON names are the ones /hotlines
+// serves.
 type Stats struct {
-	Accesses             uint64 // accesses delivered to the runtime
-	Writes               uint64 // write accesses delivered
-	TrackedLines         int    // lines with detailed tracking installed
-	VirtualLines         int    // virtual lines registered for verification
-	Invalidations        uint64 // invalidations observed on tracked physical lines
-	VirtualInvalidations uint64 // invalidations verified on virtual lines
-	SampledAccesses      uint64 // accesses recorded in detail (post-sampling)
+	Accesses             uint64 `json:"accesses"`              // accesses delivered to the runtime
+	Writes               uint64 `json:"writes"`                // write accesses delivered
+	TrackedLines         int    `json:"tracked_lines"`         // lines with detailed tracking installed
+	VirtualLines         int    `json:"virtual_lines"`         // virtual lines registered for verification
+	Invalidations        uint64 `json:"invalidations"`         // invalidations observed on tracked physical lines
+	VirtualInvalidations uint64 `json:"virtual_invalidations"` // invalidations verified on virtual lines
+	SampledAccesses      uint64 `json:"sampled_accesses"`      // accesses recorded in detail (post-sampling)
 
 	// Resource-governor accounting. TrackedLines above counts every
 	// installed track, including degraded ones.
-	DegradedLines     int    // lines degraded to invalidation-counting-only
-	Evictions         uint64 // lines degraded to admit a newer line
-	VirtualRejections uint64 // virtual lines refused by MaxVirtualLines
-	Degraded          bool   // any detail shed under resource pressure
+	DegradedLines     int    `json:"degraded_lines"`     // lines degraded to invalidation-counting-only
+	Evictions         uint64 `json:"evictions"`          // lines degraded to admit a newer line
+	VirtualRejections uint64 `json:"virtual_rejections"` // virtual lines refused by MaxVirtualLines
+	Degraded          bool   `json:"degraded"`           // any detail shed under resource pressure
 }
 
 // Stats returns a snapshot of runtime counters. Invalidation and sampling
@@ -848,17 +834,18 @@ type Stats struct {
 // path carries no extra aggregate counters.
 func (rt *Runtime) Stats() Stats {
 	rt.flushMetrics()
+	vtracks := rt.vreg.Tracks()
 	s := Stats{
 		Accesses:     rt.totalAccesses.Load(),
 		Writes:       rt.totalWrites.Load(),
-		TrackedLines: len(rt.sh.TrackedLines()),
-		VirtualLines: len(rt.vreg.Tracks()),
+		VirtualLines: len(vtracks),
 	}
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) {
+		s.TrackedLines++
 		s.Invalidations += t.Invalidations()
 		s.SampledAccesses += t.Recorded()
 	})
-	for _, v := range rt.vreg.Tracks() {
+	for _, v := range vtracks {
 		s.VirtualInvalidations += v.Invalidations()
 	}
 	s.DegradedLines = int(rt.degradedLines.Load())

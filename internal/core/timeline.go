@@ -1,7 +1,7 @@
 package core
 
 // Flight-recorder introspection: FlightDump exposes the runtime's recorded
-// access tails, detector-phase journal, and flagging instants in one
+// access tails, detector phases, and flagging instants in one
 // JSON-shaped structure. It is the data source for the Perfetto exporter
 // (internal/obs/traceout), the diagnostics server's /timeline endpoint, and
 // the CLIs' -timeline-out flag, the same way introspect.go's LineSnapshot
@@ -44,8 +44,9 @@ type FlightVLine struct {
 }
 
 // FlightDump is a point-in-time copy of everything the flight recorders
-// know: the current access clock, the detector-phase journal, and the
-// recorded tails of tracked and virtual lines.
+// know: the current access clock, the detector phases (built from the
+// tracks' search ticks and the report tick), and the recorded tails of
+// tracked and virtual lines.
 type FlightDump struct {
 	Clock    uint64             `json:"clock"`     // current access-clock tick
 	LineSize uint64             `json:"line_size"` // physical cache-line size

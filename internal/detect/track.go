@@ -134,6 +134,12 @@ type Track struct {
 	recorded      atomic.Uint64 // accesses recorded in detail
 	writes        atomic.Uint64 // recorded writes; the rest are reads
 	invalidations atomic.Uint64
+	// search records the line's once-only §3.3 hot-pair search: 0 = not
+	// run, otherwise the access-clock tick it ran at plus one. It sits
+	// beside writes so the post-threshold check usually hits the cache line
+	// that load just fetched. Reset keeps it, so a recycled line never
+	// searches twice.
+	search atomic.Uint64
 
 	// words is nil once the track has been degraded to
 	// invalidation-counting-only mode by the resource governor; frozen then
@@ -432,8 +438,20 @@ func (t *Track) FlightRecords() (records []flight.Record, salvaged bool) {
 	return nil, false
 }
 
-// FlightArmed reports whether the track currently holds a live recorder.
-func (t *Track) FlightArmed() bool { return t.rec.Load() != nil }
+// ClaimSearch marks the line's hot-pair search as run at access-clock tick
+// (0 when flight recording is off). It returns true only for the one caller
+// whose CAS from "not run" succeeded.
+func (t *Track) ClaimSearch(tick uint64) bool { return t.search.CompareAndSwap(0, tick+1) }
+
+// SearchTick returns the access-clock tick the line's hot-pair search ran
+// at, and whether it has run.
+func (t *Track) SearchTick() (tick uint64, ran bool) {
+	v := t.search.Load()
+	if v == 0 {
+		return 0, false
+	}
+	return v - 1, true
+}
 
 // noteWindowPhase surfaces sampling-window transitions: the n-th access
 // opens a window when it starts a new sampling interval (phase 0), and
@@ -559,9 +577,11 @@ func (t *Track) HotWords() []WordSnapshot {
 	return out
 }
 
-// Reset clears all tracking state (object freed and recycled). The unpushed
-// tail of the recorded-access counter is flushed first, and the push cursor
-// restarts with the recorded count so the registry keeps its lifetime total.
+// Reset clears all tracking state (object freed and recycled) except the
+// hot-pair search mark: the paper's search runs once per line, not once per
+// occupant. The unpushed tail of the recorded-access counter is flushed
+// first, and the push cursor restarts with the recorded count so the
+// registry keeps its lifetime total.
 func (t *Track) Reset() {
 	t.FlushMetrics()
 	t.hist.Reset()

@@ -285,36 +285,11 @@ func (s *Server) handleMetrics(_ *http.Request, buf *bytes.Buffer) (string, erro
 	return "text/plain; version=0.0.4; charset=utf-8", nil
 }
 
-// StatsJSON is core.Stats with stable snake_case JSON names.
+// StatsJSON is the /hotlines counter block: the runtime's core.Stats plus
+// the front-end's elided count.
 type StatsJSON struct {
-	Accesses             uint64 `json:"accesses"`
-	Writes               uint64 `json:"writes"`
-	TrackedLines         int    `json:"tracked_lines"`
-	VirtualLines         int    `json:"virtual_lines"`
-	Invalidations        uint64 `json:"invalidations"`
-	VirtualInvalidations uint64 `json:"virtual_invalidations"`
-	SampledAccesses      uint64 `json:"sampled_accesses"`
-	DegradedLines        int    `json:"degraded_lines"`
-	Evictions            uint64 `json:"evictions"`
-	VirtualRejections    uint64 `json:"virtual_rejections"`
-	Degraded             bool   `json:"degraded"`
-	Elided               uint64 `json:"elided,omitempty"` // accesses skipped by the static elision fast path
-}
-
-func statsJSON(st core.Stats) StatsJSON {
-	return StatsJSON{
-		Accesses:             st.Accesses,
-		Writes:               st.Writes,
-		TrackedLines:         st.TrackedLines,
-		VirtualLines:         st.VirtualLines,
-		Invalidations:        st.Invalidations,
-		VirtualInvalidations: st.VirtualInvalidations,
-		SampledAccesses:      st.SampledAccesses,
-		DegradedLines:        st.DegradedLines,
-		Evictions:            st.Evictions,
-		VirtualRejections:    st.VirtualRejections,
-		Degraded:             st.Degraded,
-	}
+	core.Stats
+	Elided uint64 `json:"elided,omitempty"` // accesses skipped by the static elision fast path
 }
 
 // HotLinesResponse is the /hotlines response schema.
@@ -349,12 +324,11 @@ func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, err
 		UnixMilli: time.Now().UnixMilli(),
 		Requested: n,
 		Count:     len(lines),
-		Stats:     statsJSON(src.Stats()),
-		Lines:     lines,
+		// The elided counter lives in the instrumentation front-end, not
+		// core.Stats; read it from the metrics registry by name.
+		Stats: StatsJSON{Stats: src.Stats(), Elided: s.elidedCount()},
+		Lines: lines,
 	}
-	// The elided counter lives in the instrumentation front-end, not
-	// core.Stats; read it from the metrics registry by name.
-	resp.Stats.Elided = s.elidedCount()
 	return writeJSON(buf, resp)
 }
 

@@ -1,12 +1,14 @@
 package diag_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -187,6 +189,57 @@ func TestEndpointContracts(t *testing.T) {
 	})
 }
 
+// statsKeys returns the /hotlines stats object's keys in wire order.
+func statsKeys(t *testing.T, body []byte) []string {
+	t.Helper()
+	var env struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(env.Stats))
+	if _, err := dec.Token(); err != nil { // opening brace
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestHotLinesStatsKeys pins the /hotlines stats schema — core.Stats's JSON
+// names in declaration order, then elided only when the front-end elided
+// anything — so embedding core.Stats cannot reorder or rename a key.
+func TestHotLinesStatsKeys(t *testing.T) {
+	s, rt, h := newDetectingServer(t)
+	drive(t, rt, h, 100)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	want := []string{"accesses", "writes", "tracked_lines", "virtual_lines",
+		"invalidations", "virtual_invalidations", "sampled_accesses",
+		"degraded_lines", "evictions", "virtual_rejections", "degraded"}
+	_, body := get(t, srv, "/hotlines")
+	if got := statsKeys(t, body); !slices.Equal(got, want) {
+		t.Fatalf("stats keys = %v, want %v", got, want)
+	}
+	rt.Config().Observer.Metrics().Counter("predator_events_elided_total", "").Add(3)
+	_, body = get(t, srv, "/hotlines")
+	if got, want := statsKeys(t, body), append(want, "elided"); !slices.Equal(got, want) {
+		t.Fatalf("stats keys with elision = %v, want %v", got, want)
+	}
+}
+
 // TestFindingsIsProvisional: scraping /findings must not quarantine flagged
 // objects — that is the final Report's job alone.
 func TestFindingsIsProvisional(t *testing.T) {
@@ -328,14 +381,14 @@ func TestConcurrentScrapeDuringDetection(t *testing.T) {
 			}
 		}(tid)
 	}
-	paths := []string{"/hotlines?n=3", "/metrics", "/findings", "/healthz"}
+	paths := []string{"/hotlines?n=3", "/metrics", "/findings", "/healthz", "/timeline?n=3"}
 	for round := 0; round < 8; round++ {
 		for _, p := range paths {
 			resp, body := get(t, srv, p)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("round %d %s: status %d", round, p, resp.StatusCode)
 			}
-			if strings.HasSuffix(p, "hotlines?n=3") || p == "/findings" || p == "/healthz" {
+			if p != "/metrics" {
 				if !json.Valid(body) {
 					t.Errorf("round %d %s: invalid JSON", round, p)
 				}

@@ -214,22 +214,28 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-// lookup finds or creates a named metric slot. Caller must not hold r.mu.
-func (r *Registry) lookup(name, help string, kind Kind) *metric {
+// lookup finds or creates a named metric slot. A non-nil fill runs on the
+// slot under r.mu, so an instrument created lazily on first registration is
+// created once even when goroutines register the same name concurrently
+// (tracks promoted at the same time do). Caller must not hold r.mu.
+func (r *Registry) lookup(name, help string, kind Kind, fill func(*metric)) *metric {
 	if !validName.MatchString(name) {
 		panic("obs: invalid metric name " + name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %v (was %v)", name, kind, m.kind))
-		}
-		return m
+	m, ok := r.byName[name]
+	if ok && m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %s re-registered as %v (was %v)", name, kind, m.kind))
 	}
-	m := &metric{name: name, help: help, kind: kind}
-	r.metrics = append(r.metrics, m)
-	r.byName[name] = m
+	if !ok {
+		m = &metric{name: name, help: help, kind: kind}
+		r.metrics = append(r.metrics, m)
+		r.byName[name] = m
+	}
+	if fill != nil {
+		fill(m)
+	}
 	return m
 }
 
@@ -238,10 +244,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindCounter)
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
+	m := r.lookup(name, help, KindCounter, func(m *metric) {
+		if m.counter == nil {
+			m.counter = &Counter{}
+		}
+	})
 	return m.counter
 }
 
@@ -250,10 +257,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindGauge)
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
+	m := r.lookup(name, help, KindGauge, func(m *metric) {
+		if m.gauge == nil {
+			m.gauge = &Gauge{}
+		}
+	})
 	return m.gauge
 }
 
@@ -264,12 +272,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindHistogram)
-	if m.hist == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		m.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	}
+	m := r.lookup(name, help, KindHistogram, func(m *metric) {
+		if m.hist == nil {
+			b := append([]float64(nil), bounds...)
+			sort.Float64s(b)
+			m.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+		}
+	})
 	return m.hist
 }
 
@@ -281,7 +290,7 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge)
+	m := r.lookup(name, help, KindGauge, nil)
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
@@ -308,7 +317,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge)
+	m := r.lookup(name, help, KindGauge, nil)
 	m.fn = fn
 }
 

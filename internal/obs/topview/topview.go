@@ -19,18 +19,12 @@ import (
 	"predator/internal/detect"
 )
 
-// Stats is the header counter block both servers report (snake_case JSON,
-// the same shape diag.StatsJSON and fleet.StatsSnapshot serialize to).
+// Stats is the header counter block both servers report: core.Stats's
+// snake_case JSON plus the elided count, the shape diag.StatsJSON serves
+// (fleet.StatsSnapshot carries a subset of the same keys).
 type Stats struct {
-	Accesses      uint64 `json:"accesses"`
-	Writes        uint64 `json:"writes"`
-	TrackedLines  int    `json:"tracked_lines"`
-	VirtualLines  int    `json:"virtual_lines"`
-	Invalidations uint64 `json:"invalidations"`
-	DegradedLines int    `json:"degraded_lines"`
-	Evictions     uint64 `json:"evictions"`
-	Degraded      bool   `json:"degraded"`
-	Elided        uint64 `json:"elided,omitempty"`
+	core.Stats
+	Elided uint64 `json:"elided,omitempty"`
 }
 
 // Line is one hot line in a frame. The embedded LineSnapshot carries the

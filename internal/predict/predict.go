@@ -406,18 +406,6 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 	return out
 }
 
-// Snapshots returns snapshots of every registered virtual line in
-// registration order.
-func (r *Registry) Snapshots() []VSnapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]VSnapshot, len(r.all))
-	for i, v := range r.all {
-		out[i] = snapshotOf(v)
-	}
-	return out
-}
-
 // Empty reports whether no virtual lines are registered.
 func (r *Registry) Empty() bool {
 	r.mu.RLock()

@@ -8,6 +8,11 @@
 //   - CacheTracking: an atomic pointer per line to detailed tracking state,
 //     CAS-installed exactly once when the threshold is crossed.
 //
+// A line's tracking state is never removed or replaced once installed (a
+// freed line's state is reset in place), so per-line facts that must
+// outlive recycling — such as whether the line's hot-pair search ran — can
+// live on the tracking state itself.
+//
 // The element type of CacheTracking is a type parameter so the detect
 // package can store its own Track structure without an import cycle.
 package shadow
@@ -115,9 +120,6 @@ func (s *Memory[T]) InstallTrack(line uint64, t *T) *T {
 	return s.tracks[line].Load()
 }
 
-// ClearTrack removes a line's tracking state.
-func (s *Memory[T]) ClearTrack(line uint64) { s.tracks[line].Store(nil) }
-
 // ForEachTracked calls fn for every line with installed tracking state.
 // Iteration order is ascending line index.
 func (s *Memory[T]) ForEachTracked(fn func(line uint64, t *T)) {
@@ -126,11 +128,4 @@ func (s *Memory[T]) ForEachTracked(fn func(line uint64, t *T)) {
 			fn(uint64(i), t)
 		}
 	}
-}
-
-// TrackedLines returns the indices of all lines with tracking state.
-func (s *Memory[T]) TrackedLines() []uint64 {
-	var out []uint64
-	s.ForEachTracked(func(line uint64, _ *T) { out = append(out, line) })
-	return out
 }

@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,19 +150,15 @@ func TestForEachTrackedOrder(t *testing.T) {
 	for _, line := range []uint64{9, 2, 5} {
 		s.InstallTrack(line, &fakeTrack{id: int(line)})
 	}
-	got := s.TrackedLines()
-	want := []uint64{2, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("TrackedLines = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TrackedLines = %v, want %v", got, want)
+	var got []uint64
+	s.ForEachTracked(func(line uint64, ft *fakeTrack) {
+		if ft.id != int(line) {
+			t.Errorf("line %d yielded track %d", line, ft.id)
 		}
-	}
-	s.ClearTrack(5)
-	if len(s.TrackedLines()) != 2 {
-		t.Error("ClearTrack did not remove line")
+		got = append(got, line)
+	})
+	if want := []uint64{2, 5, 9}; !slices.Equal(got, want) {
+		t.Fatalf("ForEachTracked lines = %v, want %v", got, want)
 	}
 }
 

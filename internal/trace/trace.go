@@ -367,9 +367,6 @@ func (r *Reader) Offset() int64 { return r.off }
 // Index returns how many events have been decoded so far.
 func (r *Reader) Index() uint64 { return r.index }
 
-// Salvaging reports whether the reader is in salvage mode.
-func (r *Reader) Salvaging() bool { return r.salvage }
-
 // Stats returns the salvage account so far. Meaningful for salvage readers;
 // a strict reader reports a clean zero value.
 func (r *Reader) Stats() SalvageStats { return r.stats }

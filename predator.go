@@ -63,6 +63,8 @@ type (
 	Geometry = cacheline.Geometry
 	// RuntimeConfig tunes the detection runtime thresholds.
 	RuntimeConfig = core.Config
+	// RuntimeStats is the detection runtime's counter block.
+	RuntimeStats = core.Stats
 	// Problem groups a report's findings by affected object.
 	Problem = report.Problem
 	// Advice is one fix prescription produced by Suggest.
@@ -278,26 +280,17 @@ func (d *Detector) Report() *Report {
 	return d.rt.Report()
 }
 
-// Stats summarizes detector activity.
+// Stats summarizes detector activity. The embedded RuntimeStats carries the
+// runtime's counters (accesses, invalidations, tracked and virtual lines,
+// resource-governor accounting), all zero for uninstrumented detectors; the
+// remaining fields come from the front-end and the heap.
 type Stats struct {
-	Accesses             uint64 // events delivered to the runtime
-	Writes               uint64
-	TrackedLines         int
-	VirtualLines         int
-	Invalidations        uint64 // invalidations observed on tracked lines
-	VirtualInvalidations uint64 // invalidations verified on virtual lines
-	SampledAccesses      uint64 // accesses recorded in detail (post-sampling)
-	Delivered            uint64 // events delivered to the runtime: the same count as Accesses
-	Suppressed           uint64 // events dropped by instrumentation policy
-	HeapLive             uint64 // live simulated-heap bytes
-	HeapUsed             uint64 // carved simulated-heap bytes
-
-	// Resilience accounting.
-	Faults            uint64 // out-of-heap accesses absorbed (non-strict mode)
-	DegradedLines     int    // tracked lines degraded to invalidation-counting-only
-	Evictions         uint64 // lines degraded to admit newer lines
-	VirtualRejections uint64 // virtual lines refused by MaxVirtualLines
-	Degraded          bool   // any detection detail shed under resource pressure
+	RuntimeStats
+	Delivered  uint64 // events delivered to the runtime: the same count as Accesses
+	Suppressed uint64 // events dropped by instrumentation policy
+	HeapLive   uint64 // live simulated-heap bytes
+	HeapUsed   uint64 // carved simulated-heap bytes
+	Faults     uint64 // out-of-heap accesses absorbed (non-strict mode)
 }
 
 // Stats returns a snapshot of detector counters, flushing batched hot-path
@@ -312,19 +305,8 @@ func (d *Detector) Stats() Stats {
 		Faults:     d.in.Faults(),
 	}
 	if d.rt != nil {
-		rs := d.rt.Stats()
-		s.Accesses = rs.Accesses
-		s.Delivered = rs.Accesses
-		s.Writes = rs.Writes
-		s.TrackedLines = rs.TrackedLines
-		s.VirtualLines = rs.VirtualLines
-		s.Invalidations = rs.Invalidations
-		s.VirtualInvalidations = rs.VirtualInvalidations
-		s.SampledAccesses = rs.SampledAccesses
-		s.DegradedLines = rs.DegradedLines
-		s.Evictions = rs.Evictions
-		s.VirtualRejections = rs.VirtualRejections
-		s.Degraded = rs.Degraded
+		s.RuntimeStats = d.rt.Stats()
+		s.Delivered = s.Accesses
 	}
 	return s
 }
