@@ -24,24 +24,32 @@ func testRC() predator.RuntimeConfig {
 }
 
 // pingPong runs two interleaving writers on addrA/addrB through the public
-// API.
+// API. The writers hand a turn back and forth every 16 writes, so they
+// interleave however the OS schedules the two goroutines: a writer that ran
+// to completion before the other started would show no false sharing.
 func pingPong(d *predator.Detector, addrA, addrB uint64, n int) {
+	// One token circulates; each channel holds it at most once.
+	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
 	var wg sync.WaitGroup
-	for _, w := range []struct {
+	for me, w := range []struct {
 		name string
 		addr uint64
 	}{{"a", addrA}, {"b", addrB}} {
 		th := d.Thread(w.name)
 		wg.Add(1)
-		go func(th *predator.Thread, addr uint64) {
+		go func(me int, th *predator.Thread, addr uint64) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
+				if i%16 == 0 {
+					<-turn[me]
+				}
 				th.Store64(addr, uint64(i))
-				if i%16 == 15 {
-					runtime.Gosched()
+				if i%16 == 15 || i == n-1 {
+					turn[1-me] <- struct{}{}
 				}
 			}
-		}(th, w.addr)
+		}(me, th, w.addr)
 	}
 	wg.Wait()
 }

@@ -159,7 +159,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Runtime is the PREDATOR runtime attached to one simulated heap.
+// Runtime is the PREDATOR runtime attached to one simulated heap. It is safe
+// for concurrent use by any number of threads. Its access path keeps the
+// detector's own bookkeeping thread-private: access, write and invalidation
+// counts go to per-thread counter blocks summed only by Stats and Report,
+// and virtual-line routing reads a copy-on-write index without a lock.
 type Runtime struct {
 	cfg  Config
 	heap *mem.Heap
@@ -191,11 +195,8 @@ type Runtime struct {
 	_          [40]byte
 	reportTick atomic.Uint64
 
-	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_             [56]byte
-	totalAccesses atomic.Uint64
-	_             [56]byte
-	totalWrites   atomic.Uint64
+	// Per-thread counts, summed by Stats and flushMetrics.
+	counters [counterShards]threadCounters
 
 	// Resource governor (tentpole: graceful degradation). trackBudget is
 	// nil when MaxTrackedLines is unlimited; otherwise every non-degraded
@@ -210,14 +211,14 @@ type Runtime struct {
 
 	// Observability (nil when cfg.Observer is nil; every instrument method
 	// is nil-safe, so the fast path stays branch-light when unobserved).
-	// Hot-path counters are batched: the access path syncs the registry only
-	// every obs.SyncBatch-th event, and flushMetrics pushes exact totals at
-	// snapshot points, so attaching a metrics-only observer costs one
-	// predictable branch per access instead of atomic adds.
+	// Hot-path counters are batched: a thread syncs the registry only when
+	// its own block's count reaches a multiple of obs.SyncBatch, pushing the
+	// summed total, and flushMetrics pushes exact totals at snapshot points,
+	// so attaching a metrics-only observer costs one predictable branch per
+	// access instead of shared atomic adds.
 	obs             *obs.Observer
 	self            *obs.SelfProfiler // sampled hot-path self-timing; usually nil
-	_               [40]byte
-	obsInvs         atomic.Uint64 // invalidations seen while observed
+	_               [48]byte
 	pushedAccesses  atomic.Uint64
 	pushedDelivered atomic.Uint64
 	pushedWrites    atomic.Uint64
@@ -235,6 +236,38 @@ type Runtime struct {
 	predictH        *obs.Histogram
 	reportH         *obs.Histogram
 	lineInvH        *obs.Histogram
+}
+
+// counterShards is the number of per-thread counter blocks. It is a power of
+// two, so uint(tid)%counterShards compiles to a mask and any tid — a corrupt
+// replayed one included — lands in range. Threads whose tids collide modulo
+// counterShards share a block; the sums stay exact, only the sharing returns.
+const counterShards = 64
+
+// Indexes into threadCounters.n.
+const (
+	ctrAccesses = iota // accesses delivered to the runtime
+	ctrWrites          // write accesses delivered
+	ctrInvs            // invalidations seen on tracked lines while observed
+	numCounters
+)
+
+// threadCounters is one thread's share of the runtime's totals: the paper's
+// remedy applied to the detector itself. One thread writes all of a block's
+// counters, so they may share a line; the pad keeps blocks 128 bytes apart,
+// so no two blocks' counters share a 64-byte line at any array alignment.
+type threadCounters struct {
+	n [numCounters]atomic.Uint64
+	_ [128 - numCounters*8]byte
+}
+
+// sum adds counter k over every thread's block.
+func (rt *Runtime) sum(k int) uint64 {
+	var total uint64
+	for i := range rt.counters {
+		total += rt.counters[i].n[k].Load()
+	}
+	return total
 }
 
 // NewRuntime attaches a runtime to a heap. It installs the heap's free hook
@@ -331,19 +364,24 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // HandleAccess is the instrumentation entry point (paper Figure 1): one
 // memory access of the given size by thread tid. Accesses spanning line
 // boundaries are split across the lines they touch. Accesses outside the
-// simulated heap are ignored.
+// simulated heap are ignored. The access is counted in tid's own counter
+// block, so concurrent threads share no counter line.
 func (rt *Runtime) HandleAccess(tid int, addr, size uint64, isWrite bool) {
 	if size == 0 {
 		return
 	}
-	n := rt.totalAccesses.Add(1)
-	if n&(obs.SyncBatch-1) == 0 {
-		obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
-		obs.SyncCounter(rt.deliveredC, n, &rt.pushedDelivered)
+	c := &rt.counters[uint(tid)%counterShards]
+	n := c.n[ctrAccesses].Add(1)
+	if isWrite {
+		c.n[ctrWrites].Add(1)
+	}
+	if n&(obs.SyncBatch-1) == 0 && rt.obs != nil {
+		rt.syncAccessMetrics()
 		if rt.self != nil {
-			// Self-profiling times one full access per SyncBatch: the
-			// histogram mean approximates the per-access instrumented cost
-			// while the other SyncBatch-1 accesses pay only the nil check.
+			// Self-profiling times one full access per SyncBatch of each
+			// thread's: the histogram mean approximates the per-access
+			// instrumented cost while the other SyncBatch-1 accesses pay
+			// only the branch above.
 			began := time.Now()
 			rt.dispatch(tid, addr, size, isWrite)
 			rt.self.ObserveTrack(time.Since(began))
@@ -353,15 +391,18 @@ func (rt *Runtime) HandleAccess(tid int, addr, size uint64, isWrite bool) {
 	rt.dispatch(tid, addr, size, isWrite)
 }
 
-// dispatch routes one access through write counting, the per-line detection
-// path, and — when virtual lines are active — prediction verification.
+// syncAccessMetrics pushes the summed access and write totals into the
+// registry.
+func (rt *Runtime) syncAccessMetrics() {
+	n := rt.sum(ctrAccesses)
+	obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
+	obs.SyncCounter(rt.deliveredC, n, &rt.pushedDelivered)
+	obs.SyncCounter(rt.writesC, rt.sum(ctrWrites), &rt.pushedWrites)
+}
+
+// dispatch routes one access through the per-line detection path and — when
+// virtual lines are active — prediction verification.
 func (rt *Runtime) dispatch(tid int, addr, size uint64, isWrite bool) {
-	if isWrite {
-		nw := rt.totalWrites.Add(1)
-		if nw&(obs.SyncBatch-1) == 0 {
-			obs.SyncCounter(rt.writesC, nw, &rt.pushedWrites)
-		}
-	}
 	first, ok := rt.mapping.Index(addr)
 	if !ok {
 		return
@@ -395,9 +436,8 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 	}
 	if track.HandleAccess(tid, addr, size, isWrite) {
 		if rt.obs != nil {
-			ti := rt.obsInvs.Add(1)
-			if ti&(obs.SyncBatch-1) == 0 {
-				obs.SyncCounter(rt.invC, ti, &rt.pushedInvs)
+			if rt.counters[uint(tid)%counterShards].n[ctrInvs].Add(1)&(obs.SyncBatch-1) == 0 {
+				obs.SyncCounter(rt.invC, rt.sum(ctrInvs), &rt.pushedInvs)
 			}
 			if rt.obs.Tracing() {
 				rt.obs.Emit(obs.Event{Type: obs.EvInvalidation, TID: tid, Addr: addr,
@@ -632,16 +672,14 @@ func (rt *Runtime) onFree(start, size uint64) {
 
 // flushMetrics pushes the exact totals behind the batched hot-path counters
 // into the registry, so exported snapshots are exact whenever anyone looks
-// (heartbeats between flushes may lag by up to obs.SyncBatch-1 events).
+// (heartbeats between flushes may lag by up to obs.SyncBatch-1 events per
+// thread).
 func (rt *Runtime) flushMetrics() {
 	if rt.obs == nil {
 		return
 	}
-	n := rt.totalAccesses.Load()
-	obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
-	obs.SyncCounter(rt.deliveredC, n, &rt.pushedDelivered)
-	obs.SyncCounter(rt.writesC, rt.totalWrites.Load(), &rt.pushedWrites)
-	obs.SyncCounter(rt.invC, rt.obsInvs.Load(), &rt.pushedInvs)
+	rt.syncAccessMetrics()
+	obs.SyncCounter(rt.invC, rt.sum(ctrInvs), &rt.pushedInvs)
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) { t.FlushMetrics() })
 }
 
@@ -777,6 +815,8 @@ func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 			Span:          span,
 			Objects:       rt.heap.ObjectsOverlapping(span.Start, span.End),
 			Accesses:      v.Accesses(),
+			Reads:         v.Reads(),
+			Writes:        v.Writes(),
 			Invalidations: v.Invalidations(),
 			Estimate:      v.Pair.Estimate,
 			Words:         words,
@@ -836,8 +876,8 @@ func (rt *Runtime) Stats() Stats {
 	rt.flushMetrics()
 	vtracks := rt.vreg.Tracks()
 	s := Stats{
-		Accesses:     rt.totalAccesses.Load(),
-		Writes:       rt.totalWrites.Load(),
+		Accesses:     rt.sum(ctrAccesses),
+		Writes:       rt.sum(ctrWrites),
 		VirtualLines: len(vtracks),
 	}
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -540,4 +541,24 @@ func TestElideMargin(t *testing.T) {
 			t.Errorf("factors %v: ElideMargin = %d, want %d", c.factors, got, c.want)
 		}
 	}
+}
+
+// BenchmarkHandleAccessParallel drives HandleAccess from every P at once,
+// each goroutine as its own thread, with reads into a region no write ever
+// promotes: what remains is the runtime's own per-access bookkeeping, and
+// any cache line it shares across threads shows up as contention here.
+func BenchmarkHandleAccessParallel(b *testing.B) {
+	h := mem.MustNewHeap(mem.Config{Size: 64 << 20})
+	rt, _ := NewRuntime(h, DefaultConfig())
+	addr, _ := h.Alloc(0, 1<<20, 0)
+	var tids atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		tid := int(tids.Add(1))
+		var i uint64
+		for pb.Next() {
+			rt.HandleAccess(tid, addr+(i%(1<<20))&^7, 8, false)
+			i += 8
+		}
+	})
 }

@@ -214,10 +214,12 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-// lookup finds or creates a named metric slot. A non-nil fill runs on the
-// slot under r.mu, so an instrument created lazily on first registration is
-// created once even when goroutines register the same name concurrently
-// (tracks promoted at the same time do). Caller must not hold r.mu.
+// lookup finds or creates a named metric slot. fill runs on the slot under
+// r.mu, so an instrument created lazily on first registration is created
+// once even when goroutines register the same name concurrently (tracks
+// promoted at the same time do), and a collector or label set replaced by
+// re-registration is never seen half-written by a scrape. Caller must not
+// hold r.mu.
 func (r *Registry) lookup(name, help string, kind Kind, fill func(*metric)) *metric {
 	if !validName.MatchString(name) {
 		panic("obs: invalid metric name " + name)
@@ -233,10 +235,21 @@ func (r *Registry) lookup(name, help string, kind Kind, fill func(*metric)) *met
 		r.metrics = append(r.metrics, m)
 		r.byName[name] = m
 	}
-	if fill != nil {
-		fill(m)
-	}
+	fill(m)
 	return m
+}
+
+// copyMetrics returns a copy of every metric slot taken under r.mu, so a
+// scrape reads each slot's collector and labels as one registration left
+// them, never while a concurrent Info or GaugeFunc replaces them.
+func (r *Registry) copyMetrics() []metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]metric, len(r.metrics))
+	for i, m := range r.metrics {
+		out[i] = *m
+	}
+	return out
 }
 
 // Counter registers (or fetches) a counter.
@@ -290,7 +303,6 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge, nil)
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
@@ -305,8 +317,11 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 		b = append(b, '=')
 		b = strconv.AppendQuote(b, labels[k])
 	}
-	m.labels = "{" + string(b) + "}"
-	m.fn = func() float64 { return 1 }
+	rendered := "{" + string(b) + "}"
+	r.lookup(name, help, KindGauge, func(m *metric) {
+		m.labels = rendered
+		m.fn = func() float64 { return 1 }
+	})
 }
 
 // GaugeFunc registers a gauge whose value is computed at snapshot time. The
@@ -317,8 +332,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge, nil)
-	m.fn = fn
+	r.lookup(name, help, KindGauge, func(m *metric) { m.fn = fn })
 }
 
 // Snapshot returns the current value of every scalar metric (counters,
@@ -328,9 +342,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
+	metrics := r.copyMetrics()
 	out := make(map[string]float64, len(metrics))
 	for _, m := range metrics {
 		switch {

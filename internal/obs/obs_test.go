@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -304,5 +307,52 @@ func TestHeartbeat(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("snapshot file: %v", err)
+	}
+}
+
+// TestRegistrationRacesScrape re-registers GaugeFunc and Info metrics while
+// another goroutine scrapes Snapshot and the Prometheus writer. Both
+// registration calls set a metric's collector and labels, so under -race
+// this catches any write or read of them outside the registry lock.
+func TestRegistrationRacesScrape(t *testing.T) {
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Snapshot()
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const rounds = 500
+	for i := 0; i < rounds; i++ {
+		v := float64(i)
+		r.GaugeFunc("race_gauge", "Re-registered collector.", func() float64 { return v })
+		r.GaugeFunc(fmt.Sprintf("race_gauge_%d", i%16), "Fresh collector.", func() float64 { return v })
+		r.Info("race_info", "Re-registered labels.", map[string]string{"round": strconv.Itoa(i)})
+	}
+	close(stop)
+	wg.Wait()
+
+	snap := r.Snapshot()
+	if snap["race_gauge"] != rounds-1 || snap["race_info"] != 1 {
+		t.Errorf("snapshot after registration: race_gauge=%v race_info=%v", snap["race_gauge"], snap["race_info"])
+	}
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("race_info{round=\"%d\"} 1\n", rounds-1); !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, b.String())
 	}
 }

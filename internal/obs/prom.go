@@ -18,10 +18,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-
+	metrics := r.copyMetrics()
 	bw := bufio.NewWriter(w)
 	for _, m := range metrics {
 		if m.help != "" {

@@ -11,8 +11,9 @@ import (
 //
 //   - predator_self_track_seconds: a latency histogram over sampled
 //     track-path invocations (the core runtime times one full HandleAccess
-//     every SyncBatch-th access, so the histogram mean approximates the
-//     per-access instrumented cost without perturbing the other 255).
+//     in every SyncBatch accesses of each thread's, so the histogram mean
+//     approximates the per-access instrumented cost without perturbing the
+//     other 255).
 //   - An overhead meter: predator_self_raw_ns_per_access is a raw
 //     (uninstrumented) store loop calibrated at attach time;
 //     predator_self_instrumented_ns_per_access is the sampled track-path

@@ -17,8 +17,10 @@ package predict
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"predator/internal/cacheline"
 	"predator/internal/detect"
@@ -195,17 +197,25 @@ type VTrack struct {
 // Span returns the tracked virtual line.
 func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
 
+// lineIndex maps a physical line index to the virtual lines overlapping it.
+type lineIndex map[uint64][]*VTrack
+
 // Registry routes accesses to the virtual lines they overlap. Virtual lines
 // are registered under every physical line index they intersect, so the
-// per-access routing cost is one map lookup.
+// per-access routing cost is one map lookup. The index is copy-on-write:
+// Add, which runs at most once per hot pair, publishes a fresh copy under
+// mu, and readers on the access path load the current copy with one atomic
+// pointer read and take no lock — the detector shares no lock line across
+// threads on the path it exists to watch.
 type Registry struct {
 	geom    cacheline.Geometry
 	sampler detect.Sampler
 
-	mu     sync.RWMutex
-	byLine map[uint64][]*VTrack // physical line index -> overlapping vtracks
-	all    []*VTrack
-	spans  map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
+	byLine atomic.Pointer[lineIndex] // never nil; replaced whole, never mutated
+
+	mu    sync.Mutex                 // serializes Add; guards all and spans
+	all   []*VTrack                  // registration order
+	spans map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
 
 	// budget, when non-nil, bounds how many virtual lines may be
 	// registered (core.Config.MaxVirtualLines); rejections are counted in
@@ -229,12 +239,13 @@ type Registry struct {
 // NewRegistry creates an empty registry under the given physical geometry;
 // registered virtual lines sample with the given policy.
 func NewRegistry(geom cacheline.Geometry, sampler detect.Sampler) *Registry {
-	return &Registry{
+	r := &Registry{
 		geom:    geom,
 		sampler: sampler,
-		byLine:  make(map[uint64][]*VTrack),
 		spans:   make(map[cacheline.Virtual]bool),
 	}
+	r.byLine.Store(&lineIndex{})
+	return r
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
@@ -309,11 +320,13 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 		v.RegClock = r.fclock.Now()
 	}
 	r.all = append(r.all, v)
-	first := r.geom.Index(pair.Span.Start)
-	last := r.geom.Index(pair.Span.End - 1)
-	for l := first; l <= last; l++ {
-		r.byLine[l] = append(r.byLine[l], v)
+	// Clone, then append to clipped slices: the published copy's backing
+	// arrays may be under a reader's range loop, so none is written again.
+	next := maps.Clone(*r.byLine.Load())
+	for l := r.geom.Index(pair.Span.Start); l <= r.geom.Index(pair.Span.End-1); l++ {
+		next[l] = append(slices.Clip(next[l]), v)
 	}
+	r.byLine.Store(&next)
 	r.mu.Unlock()
 	r.vlinesG.Add(1)
 	if r.o.Tracing() {
@@ -323,16 +336,19 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 	return v
 }
 
-// Route forwards an access to every virtual line it overlaps. It returns
-// the number of virtual-line invalidations the access caused.
+// Route forwards an access to every virtual line it overlaps, handling a
+// virtual line once even when the access spans two physical lines it is
+// registered under. It returns the number of virtual-line invalidations the
+// access caused. Route takes no lock: it reads the index copy current at
+// its one atomic load, so a virtual line registered concurrently is seen
+// from the next access on.
 func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
-	r.mu.RLock()
-	tracks := r.byLine[r.geom.Index(addr)]
+	idx := *r.byLine.Load()
+	tracks := idx[r.geom.Index(addr)]
 	var spill []*VTrack
 	if size > 0 && r.geom.Index(addr) != r.geom.Index(addr+size-1) {
-		spill = r.byLine[r.geom.Index(addr+size-1)]
+		spill = idx[r.geom.Index(addr+size-1)]
 	}
-	r.mu.RUnlock()
 	inv := 0
 	for _, v := range tracks {
 		if v.Pair.Span.Overlaps(addr, size) && v.Track.HandleAccess(tid, addr, size, isWrite) {
@@ -390,12 +406,11 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 	if end <= start {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	idx := *r.byLine.Load()
 	var out []VSnapshot
 	seen := make(map[*VTrack]bool)
 	for l := r.geom.Index(start); l <= r.geom.Index(end-1); l++ {
-		for _, v := range r.byLine[l] {
+		for _, v := range idx[l] {
 			if seen[v] {
 				continue
 			}
@@ -408,15 +423,15 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 
 // Empty reports whether no virtual lines are registered.
 func (r *Registry) Empty() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return len(r.all) == 0
 }
 
 // Tracks returns all registered verification tracks.
 func (r *Registry) Tracks() []*VTrack {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]*VTrack, len(r.all))
 	copy(out, r.all)
 	return out

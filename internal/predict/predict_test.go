@@ -376,3 +376,70 @@ func TestRegistryConcurrentRouting(t *testing.T) {
 		t.Errorf("invalidations = %d out of range", v.Invalidations())
 	}
 }
+
+// TestRegistryCopyOnWriteIndex runs Add against lock-free Route and
+// SnapshotsOverlapping readers (run it under -race). An access spanning two
+// physical lines into a virtual line registered under both is handled once
+// per access however the index is republished meanwhile; a reader never
+// sees a line twice or loses one it saw; and once the writers stop, a
+// snapshot sees every registered line.
+func TestRegistryCopyOnWriteIndex(t *testing.T) {
+	r := NewRegistry(geom, detect.Sampler{})
+	spanning := r.Add(HotPair{Span: cacheline.NewVirtual(base+28, 64)}) // lines 0 and 1
+	const adds, routes = 200, 4000
+	// Each added span covers two of lines 2..9, so index buckets are
+	// appended to many times over.
+	span := func(i int) cacheline.Virtual {
+		return cacheline.NewVirtual(base+128+uint64(i%7)*64+uint64(i/7)*2+2, 64)
+	}
+	lo, hi := base, base+10*64
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < adds; i++ {
+			if r.Add(HotPair{Span: span(i)}) == nil {
+				t.Errorf("Add(%v) refused", span(i))
+			}
+		}
+	}()
+	for tid := 1; tid <= 2; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < routes; i++ {
+				r.Route(tid, base+60, 8, true) // spans lines 0 and 1
+				r.Route(tid, span(i%adds).Start, 8, i%2 == 0)
+			}
+		}(tid)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		prev := 0
+		for i := 0; i < routes/10; i++ {
+			snaps := r.SnapshotsOverlapping(lo, hi)
+			seen := map[uint64]bool{}
+			for _, s := range snaps {
+				if seen[s.Start] {
+					t.Errorf("snapshot lists %#x twice", s.Start)
+				}
+				seen[s.Start] = true
+			}
+			if len(snaps) < prev {
+				t.Errorf("snapshot shrank from %d to %d lines", prev, len(snaps))
+			}
+			prev = len(snaps)
+		}
+	}()
+	wg.Wait()
+
+	if got := spanning.Accesses(); got != 2*routes {
+		t.Errorf("spanning virtual line handled %d accesses, want %d", got, 2*routes)
+	}
+	snaps := r.SnapshotsOverlapping(lo, hi)
+	if len(snaps) != adds+1 || len(r.Tracks()) != adds+1 {
+		t.Errorf("snapshot sees %d lines, Tracks %d, want %d", len(snaps), len(r.Tracks()), adds+1)
+	}
+}

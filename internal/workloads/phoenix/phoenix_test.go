@@ -5,6 +5,7 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/harness"
+	"predator/internal/report"
 )
 
 // evalConfig uses reduced thresholds appropriate to the test-sized inputs
@@ -76,6 +77,51 @@ func TestLinearRegressionPredictedOnly(t *testing.T) {
 	if !buggy.PredictedOnly() {
 		t.Errorf("linear_regression should be found only via prediction; report:\n%s",
 			buggy.Report.String())
+	}
+}
+
+// TestPredictedFindingsCountReadsAndWrites: a predicted finding reports the
+// reads and writes its verification track recorded, as an observed finding
+// reports its line's. On the deterministic prediction-only bug every
+// predicted finding saw writes, and its reads and writes add up to the
+// virtual line's recorded accesses.
+func TestPredictedFindingsCountReadsAndWrites(t *testing.T) {
+	w, _ := harness.Get("linear_regression")
+	var rt *core.Runtime
+	res, err := harness.Execute(w, harness.Options{
+		Mode:          harness.ModePredict,
+		Threads:       8,
+		Buggy:         true,
+		Deterministic: true,
+		OnRuntime:     func(r *core.Runtime) { rt = r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[[2]uint64]uint64{}
+	for _, ln := range rt.HotLines(0) {
+		for _, v := range ln.Virtual {
+			recorded[[2]uint64{v.Start, v.End}] = v.Recorded
+		}
+	}
+	predicted := 0
+	for _, f := range res.Report.Findings {
+		if f.Source == report.SourceObserved {
+			continue
+		}
+		predicted++
+		rec, ok := recorded[[2]uint64{f.Span.Start, f.Span.End}]
+		if !ok {
+			t.Errorf("predicted finding %+v has no virtual line", f.Span)
+			continue
+		}
+		if f.Writes == 0 || f.Reads+f.Writes != rec {
+			t.Errorf("predicted finding %+v: reads %d + writes %d, virtual line recorded %d",
+				f.Span, f.Reads, f.Writes, rec)
+		}
+	}
+	if predicted == 0 {
+		t.Fatal("no predicted findings")
 	}
 }
 
