@@ -22,11 +22,11 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"predator/internal/eval"
 	"predator/internal/fleet"
 	"predator/internal/fleet/tsdb"
+	"predator/internal/httpsrv"
 	"predator/internal/obs"
 )
 
@@ -130,7 +130,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("predfleet: shutting down")
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+	sctx, scancel := context.WithTimeout(context.Background(), httpsrv.ShutdownGrace)
 	defer scancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		fmt.Fprintf(os.Stderr, "predfleet: shutdown: %v\n", err)

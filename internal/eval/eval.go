@@ -50,8 +50,7 @@ type Config struct {
 	// Deterministic serializes workers under the round-robin scheduler so
 	// detection counts are exactly reproducible — the mode the benchmark
 	// regression gate (predbench -bench-compare) runs in, since its
-	// finding-drift check needs run-to-run stable counts. Not usable with
-	// workloads that block across threads (boost).
+	// finding-drift check needs run-to-run stable counts.
 	Deterministic bool
 	// Elide, when non-nil, is a predlint elision manifest applied to every
 	// detection run (never to Original-mode timing, which has no

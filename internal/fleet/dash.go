@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"predator/internal/fleet/tsdb"
+	"predator/internal/httpsrv"
 	"predator/internal/obs/spans"
 )
 
@@ -64,7 +65,7 @@ th { color: #8b949e; }
 // active-alert count, linking into the per-project page.
 func (s *Server) handleDashIndex(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
 	if r.URL.Path != "/dash" {
-		return "", &httpError{http.StatusNotFound, "not found (project pages live at /dash/{project})"}
+		return "", httpsrv.NewError(http.StatusNotFound, "not found (project pages live at /dash/{project})")
 	}
 	tok := r.URL.Query().Get("token")
 	dashHead(buf, "predfleet — "+tenant)
@@ -105,17 +106,17 @@ func (s *Server) handleDashProject(tenant string, r *http.Request, buf *bytes.Bu
 		project, perr := url.PathUnescape(parts[0])
 		id, ierr := url.PathUnescape(parts[2])
 		if perr != nil || ierr != nil || project == "" || id == "" {
-			return "", &httpError{http.StatusNotFound, "unknown dashboard page"}
+			return "", httpsrv.NewError(http.StatusNotFound, "unknown dashboard page")
 		}
 		return s.dashTrace(tenant, project, id, r.URL.Query().Get("token"), buf)
 	}
 	project, err := url.PathUnescape(raw)
 	if err != nil || project == "" || strings.Contains(project, "/") {
-		return "", &httpError{http.StatusNotFound, "unknown dashboard page"}
+		return "", httpsrv.NewError(http.StatusNotFound, "unknown dashboard page")
 	}
 	runs := s.store.RunHistory(tenant, project)
 	if runs == nil && s.store.AgentMetrics(tenant, project) == nil {
-		return "", &httpError{http.StatusNotFound, "project " + project + " has no ingested data"}
+		return "", httpsrv.NewError(http.StatusNotFound, "project "+project+" has no ingested data")
 	}
 	tok := r.URL.Query().Get("token")
 	scope := ScopeKey(tenant, project)
@@ -211,7 +212,7 @@ var wfPalette = map[string]string{
 func (s *Server) dashTrace(tenant, project, id, tok string, buf *bytes.Buffer) (string, error) {
 	sp, err := s.store.TraceSpans(tenant, project, id)
 	if err != nil {
-		return "", &httpError{http.StatusNotFound, "trace " + id + " not found in project " + project}
+		return "", httpsrv.NewError(http.StatusNotFound, "trace "+id+" not found in project "+project)
 	}
 	dashHead(buf, "predfleet — trace "+sp.TraceID)
 	fmt.Fprintf(buf, "<h1><a href=\"%s\">predfleet</a> / <a href=\"%s\">%s</a> / trace</h1>\n",

@@ -2,31 +2,24 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"predator/internal/fleet/tsdb"
+	"predator/internal/httpsrv"
 	"predator/internal/obs"
-	"predator/internal/resilience"
 	"predator/internal/trace"
 )
 
 // DefaultMaxBody bounds ingestion request bodies (8 MiB).
 const DefaultMaxBody = 8 << 20
-
-// serverShutdownGrace bounds how long a context-cancelled server waits for
-// in-flight requests before closing connections.
-const serverShutdownGrace = 5 * time.Second
 
 // ServerConfig configures NewServer.
 type ServerConfig struct {
@@ -61,17 +54,16 @@ type ServerConfig struct {
 
 // Server is the predfleet HTTP service: token-authenticated multi-tenant
 // ingestion with per-tenant rate limiting, fleet-wide query endpoints, and
-// its own health/metrics surfaces. Handlers render into buffers inside
-// resilience guards, mirroring the diagnostics server: a panicking endpoint
-// answers 500 and is eventually quarantined to 503, but ingestion of other
-// tenants keeps flowing.
+// its own health/metrics surfaces. Every endpoint runs behind an httpsrv
+// guard: a panicking endpoint answers 500 and is eventually quarantined to
+// 503, but ingestion of other tenants keeps flowing.
 type Server struct {
+	*httpsrv.Server // guarded endpoints, Start, Shutdown, Handler
+
 	cfg     ServerConfig
 	store   *Store
 	limiter *RateLimiter
 	reg     *obs.Registry
-	mux     *http.ServeMux
-	guards  map[string]*resilience.Guard
 	started time.Time
 	tsdb    *tsdb.DB // nil: series/dash sparklines disabled
 	alerter *Alerter
@@ -81,10 +73,6 @@ type Server struct {
 	mRateLimited *obs.Counter
 	mDuplicates  *obs.Counter
 	mBytes       *obs.Counter
-
-	srv    *http.Server
-	done   chan struct{}
-	closed atomic.Bool
 }
 
 // NewServer wires the service; Start serves it.
@@ -102,12 +90,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	s := &Server{
+		Server:  httpsrv.New("fleet"),
 		cfg:     cfg,
 		store:   cfg.Store,
 		limiter: NewRateLimiter(cfg.Rate, cfg.Burst, cfg.Clock),
 		reg:     cfg.Registry,
-		mux:     http.NewServeMux(),
-		guards:  map[string]*resilience.Guard{},
 		started: cfg.Clock(),
 		tsdb:    cfg.TSDB,
 	}
@@ -138,69 +125,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			func() float64 { return float64(s.tsdb.Appends()) })
 	}
 
-	s.mux.HandleFunc("/healthz", s.guarded("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.guarded("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/api/v1/ingest/findings", s.ingest(TypeFindings))
-	s.mux.HandleFunc("/api/v1/ingest/metrics", s.ingest(TypeMetrics))
-	s.mux.HandleFunc("/api/v1/ingest/trace", s.ingest(TypeTrace))
-	s.mux.HandleFunc("/api/v1/ingest/spans", s.ingest(TypeSpans))
-	s.mux.HandleFunc("/api/v1/traces", s.query("/api/v1/traces", s.handleTraces))
-	s.mux.HandleFunc("/api/v1/projects", s.query("/api/v1/projects", s.handleProjects))
-	s.mux.HandleFunc("/api/v1/runs", s.query("/api/v1/runs", s.handleRuns))
-	s.mux.HandleFunc("/api/v1/findings", s.query("/api/v1/findings", s.handleFindings))
-	s.mux.HandleFunc("/api/v1/diff", s.query("/api/v1/diff", s.handleDiff))
-	s.mux.HandleFunc("/api/v1/hotlines", s.query("/api/v1/hotlines", s.handleHotLines))
-	s.mux.HandleFunc("/api/v1/series", s.query("/api/v1/series", s.handleSeries))
-	s.mux.HandleFunc("/api/v1/alerts", s.query("/api/v1/alerts", s.handleAlerts))
-	s.mux.HandleFunc("/dash", s.query("/dash", s.handleDashIndex))
-	s.mux.HandleFunc("/dash/", s.query("/dash/", s.handleDashProject))
+	s.Handle("/healthz", s.handleHealthz)
+	s.Handle("/metrics", httpsrv.Metrics(s.reg))
+	for _, typ := range []string{TypeFindings, TypeMetrics, TypeTrace, TypeSpans} {
+		s.ingest(typ)
+	}
+	s.query("/api/v1/traces", s.handleTraces)
+	s.query("/api/v1/projects", s.handleProjects)
+	s.query("/api/v1/runs", s.handleRuns)
+	s.query("/api/v1/findings", s.handleFindings)
+	s.query("/api/v1/diff", s.handleDiff)
+	s.query("/api/v1/hotlines", s.handleHotLines)
+	s.query("/api/v1/series", s.handleSeries)
+	s.query("/api/v1/alerts", s.handleAlerts)
+	s.query("/dash", s.handleDashIndex)
+	s.query("/dash/", s.handleDashProject)
 	return s, nil
 }
-
-// Handler exposes the routing handler for tests and embedding.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Start listens on addr (port 0 picks a free port) and serves until ctx is
-// cancelled or Shutdown is called. Returns the bound address.
-func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("fleet: listen %s: %w", addr, err)
-	}
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln)
-	}()
-	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			sctx, cancel := context.WithTimeout(context.Background(), serverShutdownGrace)
-			defer cancel()
-			_ = s.Shutdown(sctx)
-		}()
-	}
-	return ln.Addr().String(), nil
-}
-
-// Shutdown gracefully stops a started server.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.srv == nil || !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	return err
-}
-
-// httpError carries a status code out of a render function.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
 
 // tenantOf authenticates a request: Authorization: Bearer <token> (or the
 // X-Predfleet-Token header, or ?token= for the browser-loaded dashboard
@@ -217,50 +158,18 @@ func (s *Server) tenantOf(r *http.Request) (string, error) {
 		if s.cfg.AllowAnonymous != "" {
 			return s.cfg.AllowAnonymous, nil
 		}
-		return "", &httpError{http.StatusUnauthorized, "missing bearer token"}
+		return "", httpsrv.NewError(http.StatusUnauthorized, "missing bearer token")
 	}
 	tenant, ok := s.cfg.Tokens[tok]
 	if !ok {
-		return "", &httpError{http.StatusUnauthorized, "unknown token"}
+		return "", httpsrv.NewError(http.StatusUnauthorized, "unknown token")
 	}
 	return tenant, nil
 }
 
-// guarded wraps a buffered render function in a panic guard (the diag
-// server's pattern: a panic mid-render yields a clean 500, never a torn
-// body; past the panic budget the endpoint is quarantined to 503).
-func (s *Server) guarded(name string, render func(r *http.Request, buf *bytes.Buffer) (string, error)) http.HandlerFunc {
-	g := resilience.NewGuard("fleet:"+name, resilience.DefaultPanicLimit, nil)
-	s.guards[name] = g
-	return func(w http.ResponseWriter, r *http.Request) {
-		if g.Quarantined() {
-			http.Error(w, name+": quarantined after repeated panics", http.StatusServiceUnavailable)
-			return
-		}
-		var buf bytes.Buffer
-		var ctype string
-		var err error
-		if !g.Run(func() { ctype, err = render(r, &buf) }) {
-			http.Error(w, name+": handler panicked", http.StatusInternalServerError)
-			return
-		}
-		if err != nil {
-			code := http.StatusInternalServerError
-			var he *httpError
-			if errors.As(err, &he) {
-				code = he.code
-			}
-			http.Error(w, err.Error(), code)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		_, _ = w.Write(buf.Bytes())
-	}
-}
-
-// query wraps a tenant-scoped read endpoint: auth, then guarded render.
-func (s *Server) query(name string, render func(tenant string, r *http.Request, buf *bytes.Buffer) (string, error)) http.HandlerFunc {
-	return s.guarded(name, func(r *http.Request, buf *bytes.Buffer) (string, error) {
+// query serves a tenant-scoped read endpoint: auth, then guarded render.
+func (s *Server) query(pattern string, render func(tenant string, r *http.Request, buf *bytes.Buffer) (string, error)) {
+	s.Handle(pattern, func(r *http.Request, buf *bytes.Buffer) (string, error) {
 		tenant, err := s.tenantOf(r)
 		if err != nil {
 			return "", err
@@ -278,52 +187,43 @@ type ingestAck struct {
 	Corrupt   uint64 `json:"corrupt,omitempty"` // trace: corrupt regions
 }
 
-// ingest builds the handler for one POST /api/v1/ingest/{type} endpoint:
-// method check, auth, per-tenant rate limit (429 + Retry-After), body cap
-// (413), then type-specific decode and durable append. Acknowledgment (2xx)
-// is sent only after the store accepted the record.
-func (s *Server) ingest(typ string) http.HandlerFunc {
-	name := "/api/v1/ingest/" + typ
-	g := resilience.NewGuard("fleet:"+name, resilience.DefaultPanicLimit, nil)
-	s.guards[name] = g
-	return func(w http.ResponseWriter, r *http.Request) {
-		if g.Quarantined() {
-			http.Error(w, name+": quarantined after repeated panics", http.StatusServiceUnavailable)
-			return
-		}
-		var code int
-		var ack ingestAck
-		var herr error
-		if !g.Run(func() { code, ack, herr = s.serveIngest(typ, r) }) {
-			s.mIngestErr.Inc()
-			http.Error(w, name+": handler panicked", http.StatusInternalServerError)
+// ingest serves one POST /api/v1/ingest/{type} endpoint: method check,
+// auth, per-tenant rate limit (429 + Retry-After), body cap (413), then
+// type-specific decode and durable append. Acknowledgment (2xx) is sent
+// only after the store accepted the record. The handler writes its own
+// status and ack, so it is served unbuffered.
+func (s *Server) ingest(typ string) {
+	pattern := "/api/v1/ingest/" + typ
+	s.HandleRaw(pattern, pattern, func(w http.ResponseWriter, r *http.Request) {
+		served := false
+		defer func() {
+			if !served { // a panic unwinding to the guard: count the rejection
+				s.mIngestErr.Inc()
+			}
+		}()
+		code, ack, herr := s.serveIngest(typ, r)
+		served = true
+		var he *httpsrv.Error
+		if errors.As(herr, &he) && he.Code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", he.Msg)
+			http.Error(w, "rate limited", he.Code)
 			return
 		}
 		if herr != nil {
-			var he *httpError
-			if errors.As(herr, &he) {
-				if he.code == http.StatusTooManyRequests {
-					w.Header().Set("Retry-After", he.msg)
-					http.Error(w, "rate limited", he.code)
-					return
-				}
-				http.Error(w, herr.Error(), he.code)
-				return
-			}
-			http.Error(w, herr.Error(), http.StatusInternalServerError)
+			http.Error(w, herr.Error(), httpsrv.Status(herr))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(ack)
-	}
+	})
 }
 
 // serveIngest performs one ingestion request, returning the HTTP status and
 // ack body, or an error carrying the failure status.
 func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error) {
 	if r.Method != http.MethodPost {
-		return 0, ingestAck{}, &httpError{http.StatusMethodNotAllowed, "POST only"}
+		return 0, ingestAck{}, httpsrv.NewError(http.StatusMethodNotAllowed, "POST only")
 	}
 	tenant, err := s.tenantOf(r)
 	if err != nil {
@@ -338,31 +238,31 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 		if secs < 1 {
 			secs = 1
 		}
-		return 0, ingestAck{}, &httpError{http.StatusTooManyRequests, strconv.Itoa(secs)}
+		return 0, ingestAck{}, httpsrv.NewError(http.StatusTooManyRequests, strconv.Itoa(secs))
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
 	if err != nil {
 		s.mIngestErr.Inc()
-		return 0, ingestAck{}, &httpError{http.StatusBadRequest, "reading body: " + err.Error()}
+		return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "reading body: "+err.Error())
 	}
 	if int64(len(body)) > s.cfg.MaxBody {
 		s.mIngestErr.Inc()
-		return 0, ingestAck{}, &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("payload exceeds %d bytes", s.cfg.MaxBody)}
+		return 0, ingestAck{}, httpsrv.NewError(http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("payload exceeds %d bytes", s.cfg.MaxBody))
 	}
 	switch typ {
 	case TypeFindings:
 		var fp FindingsPayload
 		if err := strictUnmarshal(body, &fp); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "bad findings payload: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "bad findings payload: "+err.Error())
 		}
 		if fp.Run.Project == "" {
 			fp.Run.Project = r.URL.Query().Get("project")
 		}
 		if fp.Run.ID == "" || fp.Run.Project == "" {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "findings payload needs run.id and run.project"}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "findings payload needs run.id and run.project")
 		}
 		entry, err := s.store.AppendFindings(tenant, &fp)
 		switch {
@@ -371,7 +271,7 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 			return http.StatusOK, ingestAck{Status: "duplicate", Run: entry.Meta.ID, Duplicate: true}, nil
 		case err != nil:
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusServiceUnavailable, "store: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusServiceUnavailable, "store: "+err.Error())
 		}
 		s.mIngest.Inc()
 		s.mBytes.Add(uint64(len(body)))
@@ -380,18 +280,18 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 		var mp MetricsPayload
 		if err := strictUnmarshal(body, &mp); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "bad metrics payload: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "bad metrics payload: "+err.Error())
 		}
 		if mp.Project == "" {
 			mp.Project = r.URL.Query().Get("project")
 		}
 		if mp.Project == "" {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "metrics payload needs a project"}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "metrics payload needs a project")
 		}
 		if err := s.store.AppendMetrics(tenant, &mp); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusServiceUnavailable, "store: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusServiceUnavailable, "store: "+err.Error())
 		}
 		s.mIngest.Inc()
 		s.mBytes.Add(uint64(len(body)))
@@ -406,7 +306,7 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 		}
 		if meta.Project == "" {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "trace ingestion needs ?project="}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "trace ingestion needs ?project=")
 		}
 		// The segment is untrusted: run the trace salvage reader over it at
 		// the door, so the stored accounting reflects what is actually
@@ -424,7 +324,7 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 		}
 		if err := s.store.AppendTrace(tenant, &TracePayload{Meta: meta, Data: body}); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusServiceUnavailable, "store: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusServiceUnavailable, "store: "+err.Error())
 		}
 		s.mIngest.Inc()
 		s.mBytes.Add(uint64(len(body)))
@@ -433,28 +333,28 @@ func (s *Server) serveIngest(typ string, r *http.Request) (int, ingestAck, error
 		var sp SpansPayload
 		if err := strictUnmarshal(body, &sp); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "bad spans payload: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "bad spans payload: "+err.Error())
 		}
 		if sp.Project == "" {
 			sp.Project = r.URL.Query().Get("project")
 		}
 		if sp.Project == "" {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, "spans payload needs a project"}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, "spans payload needs a project")
 		}
 		if err := sp.Validate(); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusBadRequest, err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusBadRequest, err.Error())
 		}
 		if err := s.store.AppendSpans(tenant, &sp); err != nil {
 			s.mIngestErr.Inc()
-			return 0, ingestAck{}, &httpError{http.StatusServiceUnavailable, "store: " + err.Error()}
+			return 0, ingestAck{}, httpsrv.NewError(http.StatusServiceUnavailable, "store: "+err.Error())
 		}
 		s.mIngest.Inc()
 		s.mBytes.Add(uint64(len(body)))
 		return http.StatusOK, ingestAck{Status: "ok", Run: sp.Run}, nil
 	default:
-		return 0, ingestAck{}, &httpError{http.StatusNotFound, "unknown ingest type"}
+		return 0, ingestAck{}, httpsrv.NewError(http.StatusNotFound, "unknown ingest type")
 	}
 }
 
@@ -473,44 +373,21 @@ func strictUnmarshal(data []byte, v any) error {
 
 // Health is the /healthz response schema.
 type Health struct {
-	Status        string        `json:"status"`
-	Tool          string        `json:"tool"`
-	Version       string        `json:"version"`
-	Revision      string        `json:"revision,omitempty"`
-	GoVersion     string        `json:"go_version"`
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Recovery      RecoveryStats `json:"recovery"`
-	Appends       uint64        `json:"appends"`
-	RateDenied    uint64        `json:"rate_denied"`
-	Quarantined   []string      `json:"quarantined,omitempty"`
+	httpsrv.Health
+	Recovery    RecoveryStats `json:"recovery"`
+	Appends     uint64        `json:"appends"`
+	RateDenied  uint64        `json:"rate_denied"`
+	Quarantined []string      `json:"quarantined,omitempty"`
 }
 
 func (s *Server) handleHealthz(_ *http.Request, buf *bytes.Buffer) (string, error) {
-	h := Health{
-		Status:        "ok",
-		Tool:          "predfleet",
-		Version:       s.cfg.Build.Version,
-		Revision:      s.cfg.Build.ShortRevision(),
-		GoVersion:     s.cfg.Build.GoVersion,
-		UptimeSeconds: s.cfg.Clock().Sub(s.started).Seconds(),
-		Recovery:      s.store.Recovery(),
-		Appends:       s.store.Appends(),
-		RateDenied:    s.limiter.Denied(),
-	}
-	for name, g := range s.guards {
-		if g.Quarantined() {
-			h.Quarantined = append(h.Quarantined, name)
-		}
-	}
-	sort.Strings(h.Quarantined)
-	return writeJSON(buf, h)
-}
-
-func (s *Server) handleMetrics(_ *http.Request, buf *bytes.Buffer) (string, error) {
-	if err := s.reg.WritePrometheus(buf); err != nil {
-		return "", err
-	}
-	return "text/plain; version=0.0.4; charset=utf-8", nil
+	return httpsrv.JSON(buf, Health{
+		Health:      httpsrv.NewHealth("predfleet", s.cfg.Build, s.cfg.Clock().Sub(s.started)),
+		Recovery:    s.store.Recovery(),
+		Appends:     s.store.Appends(),
+		RateDenied:  s.limiter.Denied(),
+		Quarantined: s.Quarantined(),
+	})
 }
 
 // ProjectsResponse is the /api/v1/projects schema.
@@ -525,7 +402,7 @@ func (s *Server) handleProjects(tenant string, _ *http.Request, buf *bytes.Buffe
 	if projects == nil {
 		projects = []ProjectInfo{}
 	}
-	return writeJSON(buf, ProjectsResponse{Tenant: tenant, Count: len(projects), Projects: projects})
+	return httpsrv.JSON(buf, ProjectsResponse{Tenant: tenant, Count: len(projects), Projects: projects})
 }
 
 // RunsResponse is the /api/v1/runs schema.
@@ -540,21 +417,17 @@ func (s *Server) handleRuns(tenant string, r *http.Request, buf *bytes.Buffer) (
 	q := r.URL.Query()
 	project := q.Get("project")
 	if project == "" {
-		return "", &httpError{http.StatusBadRequest, "missing ?project="}
+		return "", httpsrv.NewError(http.StatusBadRequest, "missing ?project=")
 	}
-	n := 0
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid n: " + raw}
-		}
-		n = v
+	n, err := httpsrv.IntParam(r, "n", 0)
+	if err != nil {
+		return "", err
 	}
 	runs := s.store.Runs(tenant, project, n)
 	if runs == nil {
 		runs = []RunInfo{}
 	}
-	return writeJSON(buf, RunsResponse{Tenant: tenant, Project: project, Count: len(runs), Runs: runs})
+	return httpsrv.JSON(buf, RunsResponse{Tenant: tenant, Project: project, Count: len(runs), Runs: runs})
 }
 
 // FindingsResponse is the /api/v1/findings schema.
@@ -570,13 +443,13 @@ func (s *Server) handleFindings(tenant string, r *http.Request, buf *bytes.Buffe
 	q := r.URL.Query()
 	project := q.Get("project")
 	if project == "" {
-		return "", &httpError{http.StatusBadRequest, "missing ?project="}
+		return "", httpsrv.NewError(http.StatusBadRequest, "missing ?project=")
 	}
 	var since int64
 	if raw := q.Get("since"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid since (want unix ms): " + raw}
+			return "", httpsrv.NewError(http.StatusBadRequest, "invalid since (want unix ms): "+raw)
 		}
 		since = v
 	}
@@ -584,7 +457,7 @@ func (s *Server) handleFindings(tenant string, r *http.Request, buf *bytes.Buffe
 	if fs == nil {
 		fs = []ProjectFinding{}
 	}
-	return writeJSON(buf, FindingsResponse{
+	return httpsrv.JSON(buf, FindingsResponse{
 		Tenant: tenant, Project: project, SinceMs: since, Count: len(fs), Findings: fs,
 	})
 }
@@ -593,23 +466,23 @@ func (s *Server) handleDiff(tenant string, r *http.Request, buf *bytes.Buffer) (
 	q := r.URL.Query()
 	project, baseID, headID := q.Get("project"), q.Get("base"), q.Get("head")
 	if project == "" || baseID == "" || headID == "" {
-		return "", &httpError{http.StatusBadRequest, "need ?project=&base=&head= (run IDs from /api/v1/runs)"}
+		return "", httpsrv.NewError(http.StatusBadRequest, "need ?project=&base=&head= (run IDs from /api/v1/runs)")
 	}
 	tol := 0.0
 	if raw := q.Get("tolerance"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || v < 0 {
-			return "", &httpError{http.StatusBadRequest, "invalid tolerance: " + raw}
+			return "", httpsrv.NewError(http.StatusBadRequest, "invalid tolerance: "+raw)
 		}
 		tol = v
 	}
 	base, err := s.store.Run(tenant, project, baseID)
 	if err != nil {
-		return "", &httpError{http.StatusNotFound, "base run " + baseID + " not found"}
+		return "", httpsrv.NewError(http.StatusNotFound, "base run "+baseID+" not found")
 	}
 	head, err := s.store.Run(tenant, project, headID)
 	if err != nil {
-		return "", &httpError{http.StatusNotFound, "head run " + headID + " not found"}
+		return "", httpsrv.NewError(http.StatusNotFound, "head run "+headID+" not found")
 	}
 	delta, err := DiffRuns(project, base, head, tol)
 	if err != nil {
@@ -621,7 +494,7 @@ func (s *Server) handleDiff(tenant string, r *http.Request, buf *bytes.Buffer) (
 	if delta.Resolved == nil {
 		delta.Resolved = []FindingRef{}
 	}
-	return writeJSON(buf, delta)
+	return httpsrv.JSON(buf, delta)
 }
 
 // HotLinesResponse is the /api/v1/hotlines schema: the fleet-wide hottest
@@ -646,13 +519,9 @@ const DefaultHotLines = 10
 
 func (s *Server) handleHotLines(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
 	q := r.URL.Query()
-	n := DefaultHotLines
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid n: " + raw}
-		}
-		n = v
+	n, err := httpsrv.IntParam(r, "n", DefaultHotLines)
+	if err != nil {
+		return "", err
 	}
 	// Agents whose metrics stream went silent past the TTL stop
 	// contributing: a dead agent's last snapshot must not pin its lines into
@@ -701,7 +570,7 @@ func (s *Server) handleHotLines(tenant string, r *http.Request, buf *bytes.Buffe
 		resp.Lines = resp.Lines[:n]
 	}
 	resp.Count = len(resp.Lines)
-	return writeJSON(buf, resp)
+	return httpsrv.JSON(buf, resp)
 }
 
 // SeriesResponse is the /api/v1/series schema. Without ?name= it lists the
@@ -720,12 +589,12 @@ type SeriesResponse struct {
 
 func (s *Server) handleSeries(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
 	if s.tsdb == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "time-series engine disabled"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "time-series engine disabled")
 	}
 	q := r.URL.Query()
 	project := q.Get("project")
 	if project == "" {
-		return "", &httpError{http.StatusBadRequest, "missing ?project="}
+		return "", httpsrv.NewError(http.StatusBadRequest, "missing ?project=")
 	}
 	scope := ScopeKey(tenant, project)
 	name := q.Get("name")
@@ -734,7 +603,7 @@ func (s *Server) handleSeries(tenant string, r *http.Request, buf *bytes.Buffer)
 		if names == nil {
 			names = []string{}
 		}
-		return writeJSON(buf, SeriesResponse{
+		return httpsrv.JSON(buf, SeriesResponse{
 			Tenant: tenant, Project: project, Names: names, Count: len(names),
 		})
 	}
@@ -745,13 +614,13 @@ func (s *Server) handleSeries(tenant string, r *http.Request, buf *bytes.Buffer)
 	switch res {
 	case tsdb.ResRaw, tsdb.Res1m, tsdb.Res1h:
 	default:
-		return "", &httpError{http.StatusBadRequest, "invalid res (want raw|1m|1h): " + res}
+		return "", httpsrv.NewError(http.StatusBadRequest, "invalid res (want raw|1m|1h): "+res)
 	}
 	var since int64
 	if raw := q.Get("since"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid since (want unix ms): " + raw}
+			return "", httpsrv.NewError(http.StatusBadRequest, "invalid since (want unix ms): "+raw)
 		}
 		since = v
 	}
@@ -759,7 +628,7 @@ func (s *Server) handleSeries(tenant string, r *http.Request, buf *bytes.Buffer)
 	if points == nil {
 		points = []tsdb.Bucket{}
 	}
-	return writeJSON(buf, SeriesResponse{
+	return httpsrv.JSON(buf, SeriesResponse{
 		Tenant: tenant, Project: project, Series: name, Resolution: res,
 		SinceMs: since, Count: len(points), Points: points,
 	})
@@ -780,30 +649,26 @@ func (s *Server) handleTraces(tenant string, r *http.Request, buf *bytes.Buffer)
 	q := r.URL.Query()
 	project := q.Get("project")
 	if project == "" {
-		return "", &httpError{http.StatusBadRequest, "missing ?project="}
+		return "", httpsrv.NewError(http.StatusBadRequest, "missing ?project=")
 	}
 	if id := q.Get("id"); id != "" {
 		sp, err := s.store.TraceSpans(tenant, project, id)
 		if err != nil {
-			return "", &httpError{http.StatusNotFound, "trace " + id + " not found"}
+			return "", httpsrv.NewError(http.StatusNotFound, "trace "+id+" not found")
 		}
-		return writeJSON(buf, TracesResponse{
+		return httpsrv.JSON(buf, TracesResponse{
 			Tenant: tenant, Project: project, Count: len(sp.Spans), Trace: sp,
 		})
 	}
-	n := 0
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid n: " + raw}
-		}
-		n = v
+	n, err := httpsrv.IntParam(r, "n", 0)
+	if err != nil {
+		return "", err
 	}
 	traces := s.store.Traces(tenant, project, n)
 	if traces == nil {
 		traces = []TraceInfo{}
 	}
-	return writeJSON(buf, TracesResponse{
+	return httpsrv.JSON(buf, TracesResponse{
 		Tenant: tenant, Project: project, Count: len(traces), Traces: traces,
 	})
 }
@@ -822,17 +687,7 @@ func (s *Server) handleAlerts(tenant string, r *http.Request, buf *bytes.Buffer)
 	if alerts == nil {
 		alerts = []Alert{}
 	}
-	return writeJSON(buf, AlertsResponse{
+	return httpsrv.JSON(buf, AlertsResponse{
 		Tenant: tenant, Project: project, Count: len(alerts), Alerts: alerts,
 	})
-}
-
-// writeJSON renders v into buf and returns the JSON content type.
-func writeJSON(buf *bytes.Buffer, v any) (string, error) {
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return "", err
-	}
-	return "application/json; charset=utf-8", nil
 }

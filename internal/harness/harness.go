@@ -93,9 +93,9 @@ func (c *Ctx) MaybeYield(i int) {
 // waits for all of them. Workers start together. The first panic, if any,
 // propagates. In deterministic mode (Options.Deterministic) the workers run
 // under a round-robin scheduler rotating every DeterministicGrain accesses,
-// making detection counts exactly reproducible; workloads that block across
-// threads (e.g. the boost lock pool) must not use deterministic mode, since
-// a blocked thread cannot yield its turn.
+// making detection counts exactly reproducible. Workers that share a lock
+// take it with instr.Thread.Lock, which hands the turn on while the lock is
+// held elsewhere.
 func (c *Ctx) Parallel(n int, name string, body func(t *instr.Thread, id int)) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -233,8 +233,7 @@ type Options struct {
 	// (forces GC twice; skip it in latency-sensitive benchmarks).
 	MeasureMemory bool
 	// Deterministic serializes workers under a round-robin scheduler so
-	// invalidation counts are exactly reproducible. Not usable with
-	// workloads that block across threads (boost).
+	// invalidation counts are exactly reproducible.
 	Deterministic bool
 	// DeterministicGrain is the accesses-per-turn rotation grain
 	// (default 16, matching MaybeYield's free-running cadence).

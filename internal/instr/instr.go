@@ -270,6 +270,23 @@ func (t *Thread) SetScope(scope string) { t.scope = scope }
 // invalidation count — is exactly reproducible (see internal/sched).
 func (t *Thread) SetSlot(slot *sched.Slot) { t.slot = slot }
 
+// Lock acquires mu on behalf of the thread. Free-running it blocks. Under a
+// scheduler slot the acquire counts one tick, like an access: a critical
+// section of k accesses spans k+1 ticks, so turn boundaries also fall
+// between sections and other slots get the lock. A holder parked in another
+// slot releases mu only on its own turn, so the thread hands its turn on
+// until TryLock succeeds rather than block while holding the turn.
+func (t *Thread) Lock(mu *sync.Mutex) {
+	if t.slot == nil {
+		mu.Lock()
+		return
+	}
+	t.slot.Tick()
+	for !mu.TryLock() {
+		t.slot.Yield()
+	}
+}
+
 // Alloc allocates from the heap on behalf of this thread, attributing the
 // callsite to Alloc's caller.
 func (t *Thread) Alloc(size uint64) (uint64, error) {

@@ -110,7 +110,6 @@ type Heap struct {
 	dirty      bool               // starts needs rebuild
 	freeHooks  []FreeHook
 	allocHooks []AllocHook
-	hookGuards []*resilience.Guard // one per registered hook, same order
 	liveBytes  uint64
 	allocs     uint64
 	frees      uint64
@@ -205,8 +204,7 @@ func (h *Heap) Backing() ([]byte, uint64) { return h.data, h.base }
 func (h *Heap) AddFreeHook(hook FreeHook) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	g := resilience.NewGuard(fmt.Sprintf("mem.free_hook[%d]", len(h.hookGuards)), 0, nil)
-	h.hookGuards = append(h.hookGuards, g)
+	g := resilience.NewGuard(fmt.Sprintf("mem.free_hook[%d]", len(h.freeHooks)+len(h.allocHooks)), 0, nil)
 	h.freeHooks = append(h.freeHooks, func(start, size uint64) {
 		g.Run(func() { hook(start, size) })
 	})
@@ -218,26 +216,10 @@ func (h *Heap) AddFreeHook(hook FreeHook) {
 func (h *Heap) AddAllocHook(hook AllocHook) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	g := resilience.NewGuard(fmt.Sprintf("mem.alloc_hook[%d]", len(h.hookGuards)), 0, nil)
-	h.hookGuards = append(h.hookGuards, g)
+	g := resilience.NewGuard(fmt.Sprintf("mem.alloc_hook[%d]", len(h.freeHooks)+len(h.allocHooks)), 0, nil)
 	h.allocHooks = append(h.allocHooks, func(o Object) {
 		g.Run(func() { hook(o) })
 	})
-}
-
-// HookPanics sums the panics absorbed from all registered alloc/free hooks;
-// HookQuarantines counts hooks that exceeded their panic budget and were
-// disabled.
-func (h *Heap) HookPanics() (panics, quarantined uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, g := range h.hookGuards {
-		panics += g.Panics()
-		if g.Quarantined() {
-			quarantined++
-		}
-	}
-	return panics, quarantined
 }
 
 // classFor returns the size-class index for a request, or -1 for large.

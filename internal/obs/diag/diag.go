@@ -19,30 +19,25 @@
 //
 // The server holds its Source (the runtime) behind an atomic swap so tools
 // that run many successive runtimes (predbench) can re-point a live server
-// between runs. Every handler is wrapped in a resilience.Guard: a panicking
+// between runs. Every handler runs behind an httpsrv guard: a panicking
 // endpoint returns 500 and, past the panic budget, is quarantined to 503 —
 // diagnostics can degrade, detection never stops.
 package diag
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"predator/internal/core"
+	"predator/internal/httpsrv"
 	"predator/internal/obs"
 	"predator/internal/obs/spans"
 	"predator/internal/obs/traceout"
 	"predator/internal/report"
-	"predator/internal/resilience"
 )
 
 // Source is the runtime surface the server scrapes. *core.Runtime
@@ -70,51 +65,46 @@ type TimelineSource interface {
 // DefaultHotLines is how many lines /hotlines returns when ?n= is absent.
 const DefaultHotLines = 10
 
-// shutdownGrace bounds how long a context-cancelled server waits for
-// in-flight scrapes before closing connections.
-const shutdownGrace = 5 * time.Second
-
 // sourceBox wraps a Source so atomic.Value always stores one concrete type.
 type sourceBox struct{ src Source }
 
 // Server is the diagnostics HTTP server. Construct with New, attach a
 // runtime with SetSource (before or after Start), and serve with Start.
 type Server struct {
+	*httpsrv.Server // guarded endpoints, Start, Shutdown, Handler
+
+	// source and tracer are re-pointed while scrapes read them; the
+	// read-only identity fields between them keep the two on separate
+	// cache lines.
+	source  atomic.Value // sourceBox
 	reg     *obs.Registry
 	build   obs.BuildInfo
 	tool    string
-	mux     *http.ServeMux
-	guards  map[string]*resilience.Guard
-	source  atomic.Value // sourceBox
-	tracer  atomic.Pointer[spans.Tracer]
 	started time.Time
-
-	srv  *http.Server
-	done chan struct{}
+	tracer  atomic.Pointer[spans.Tracer]
 }
 
 // New builds a server over a metrics registry (may be nil: /metrics then
 // renders an empty registry) identified by tool and build.
 func New(reg *obs.Registry, tool string, build obs.BuildInfo) *Server {
 	s := &Server{
+		Server:  httpsrv.New("diag"),
 		reg:     reg,
 		build:   build,
 		tool:    tool,
-		mux:     http.NewServeMux(),
-		guards:  map[string]*resilience.Guard{},
 		started: time.Now(),
 	}
-	s.mux.HandleFunc("/healthz", s.guarded("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.guarded("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/hotlines", s.guarded("/hotlines", s.handleHotLines))
-	s.mux.HandleFunc("/findings", s.guarded("/findings", s.handleFindings))
-	s.mux.HandleFunc("/timeline", s.guarded("/timeline", s.handleTimeline))
-	s.mux.HandleFunc("/spans", s.guarded("/spans", s.handleSpans))
-	s.mux.HandleFunc("/debug/pprof/", s.guardRaw("/debug/pprof", httppprof.Index))
-	s.mux.HandleFunc("/debug/pprof/cmdline", s.guardRaw("/debug/pprof/cmdline", httppprof.Cmdline))
-	s.mux.HandleFunc("/debug/pprof/profile", s.guardRaw("/debug/pprof/profile", httppprof.Profile))
-	s.mux.HandleFunc("/debug/pprof/symbol", s.guardRaw("/debug/pprof/symbol", httppprof.Symbol))
-	s.mux.HandleFunc("/debug/pprof/trace", s.guardRaw("/debug/pprof/trace", httppprof.Trace))
+	s.Handle("/healthz", s.handleHealthz)
+	s.Handle("/metrics", httpsrv.Metrics(reg))
+	s.Handle("/hotlines", s.handleHotLines)
+	s.Handle("/findings", s.handleFindings)
+	s.Handle("/timeline", s.handleTimeline)
+	s.Handle("/spans", s.handleSpans)
+	s.HandleRaw("/debug/pprof/", "/debug/pprof", httppprof.Index)
+	s.HandleRaw("/debug/pprof/cmdline", "/debug/pprof/cmdline", httppprof.Cmdline)
+	s.HandleRaw("/debug/pprof/profile", "/debug/pprof/profile", httppprof.Profile)
+	s.HandleRaw("/debug/pprof/symbol", "/debug/pprof/symbol", httppprof.Symbol)
+	s.HandleRaw("/debug/pprof/trace", "/debug/pprof/trace", httppprof.Trace)
 	return s
 }
 
@@ -149,140 +139,19 @@ func (s *Server) Src() Source {
 	return nil
 }
 
-// Handler returns the server's routing handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Start listens on addr (host:port; port 0 picks a free port) and serves
-// until ctx is cancelled or Shutdown is called, then drains gracefully. It
-// returns the bound address immediately; serving happens in background
-// goroutines.
-func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("diag: listen %s: %w", addr, err)
-	}
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln)
-	}()
-	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-			defer cancel()
-			_ = s.Shutdown(sctx)
-		}()
-	}
-	return ln.Addr().String(), nil
-}
-
-// Shutdown gracefully stops a started server, waiting for in-flight
-// requests up to ctx's deadline. No-op if Start was never called.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.srv == nil {
-		return nil
-	}
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	return err
-}
-
-// httpError carries a status code out of a handler's render function.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// guarded wraps a buffered render function in a panic guard. The body is
-// rendered into a buffer inside the guard, so a panic mid-render yields a
-// clean 500 (never a torn response body) and, past the panic budget, the
-// endpoint is quarantined to 503 while the rest of the server keeps
-// serving.
-func (s *Server) guarded(name string, render func(r *http.Request, buf *bytes.Buffer) (contentType string, err error)) http.HandlerFunc {
-	g := resilience.NewGuard("diag:"+name, resilience.DefaultPanicLimit, nil)
-	s.guards[name] = g
-	return func(w http.ResponseWriter, r *http.Request) {
-		if g.Quarantined() {
-			http.Error(w, name+": quarantined after repeated panics", http.StatusServiceUnavailable)
-			return
-		}
-		var buf bytes.Buffer
-		var ctype string
-		var err error
-		if !g.Run(func() { ctype, err = render(r, &buf) }) {
-			http.Error(w, name+": handler panicked", http.StatusInternalServerError)
-			return
-		}
-		if err != nil {
-			code := http.StatusInternalServerError
-			if he, ok := err.(*httpError); ok {
-				code = he.code
-			}
-			http.Error(w, err.Error(), code)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		_, _ = w.Write(buf.Bytes())
-	}
-}
-
-// guardRaw wraps an unbuffered handler (the streaming pprof endpoints) in
-// the same panic guard. A panic after headers were sent cannot be unsent;
-// the guard still counts it and eventually quarantines the endpoint.
-func (s *Server) guardRaw(name string, h http.HandlerFunc) http.HandlerFunc {
-	g := resilience.NewGuard("diag:"+name, resilience.DefaultPanicLimit, nil)
-	s.guards[name] = g
-	return func(w http.ResponseWriter, r *http.Request) {
-		if g.Quarantined() {
-			http.Error(w, name+": quarantined after repeated panics", http.StatusServiceUnavailable)
-			return
-		}
-		if !g.Run(func() { h(w, r) }) {
-			http.Error(w, name+": handler panicked", http.StatusInternalServerError)
-		}
-	}
-}
-
 // Health is the /healthz response schema.
 type Health struct {
-	Status        string   `json:"status"`
-	Tool          string   `json:"tool"`
-	Version       string   `json:"version"`
-	Revision      string   `json:"revision,omitempty"`
-	GoVersion     string   `json:"go_version"`
-	UptimeSeconds float64  `json:"uptime_seconds"`
-	SourceActive  bool     `json:"source_active"`
-	Quarantined   []string `json:"quarantined,omitempty"`
+	httpsrv.Health
+	SourceActive bool     `json:"source_active"`
+	Quarantined  []string `json:"quarantined,omitempty"`
 }
 
 func (s *Server) handleHealthz(_ *http.Request, buf *bytes.Buffer) (string, error) {
-	h := Health{
-		Status:        "ok",
-		Tool:          s.tool,
-		Version:       s.build.Version,
-		Revision:      s.build.ShortRevision(),
-		GoVersion:     s.build.GoVersion,
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		SourceActive:  s.Src() != nil,
-	}
-	for name, g := range s.guards {
-		if g.Quarantined() {
-			h.Quarantined = append(h.Quarantined, name)
-		}
-	}
-	sort.Strings(h.Quarantined)
-	return writeJSON(buf, h)
-}
-
-func (s *Server) handleMetrics(_ *http.Request, buf *bytes.Buffer) (string, error) {
-	if err := s.reg.WritePrometheus(buf); err != nil {
-		return "", err
-	}
-	return "text/plain; version=0.0.4; charset=utf-8", nil
+	return httpsrv.JSON(buf, Health{
+		Health:       httpsrv.NewHealth(s.tool, s.build, time.Since(s.started)),
+		SourceActive: s.Src() != nil,
+		Quarantined:  s.Quarantined(),
+	})
 }
 
 // StatsJSON is the /hotlines counter block: the runtime's core.Stats plus
@@ -305,15 +174,11 @@ type HotLinesResponse struct {
 func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "no runtime attached"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "no runtime attached")
 	}
-	n := DefaultHotLines
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid n: " + raw}
-		}
-		n = v
+	n, err := httpsrv.IntParam(r, "n", DefaultHotLines)
+	if err != nil {
+		return "", err
 	}
 	lines := src.HotLines(n)
 	if lines == nil {
@@ -329,7 +194,7 @@ func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, err
 		Stats: StatsJSON{Stats: src.Stats(), Elided: s.elidedCount()},
 		Lines: lines,
 	}
-	return writeJSON(buf, resp)
+	return httpsrv.JSON(buf, resp)
 }
 
 // elidedCount reads the static-elision counter from the registry (zero when
@@ -353,7 +218,7 @@ type FindingsResponse struct {
 func (s *Server) handleFindings(_ *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "no runtime attached"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "no runtime attached")
 	}
 	rep := src.Provisional()
 	resp := FindingsResponse{
@@ -362,37 +227,33 @@ func (s *Server) handleFindings(_ *http.Request, buf *bytes.Buffer) (string, err
 		Counts:    rep.Counts(),
 		Report:    rep.ToJSON(),
 	}
-	return writeJSON(buf, resp)
+	return httpsrv.JSON(buf, resp)
 }
 
 func (s *Server) handleTimeline(r *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "no runtime attached"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "no runtime attached")
 	}
 	ts, ok := src.(TimelineSource)
 	if !ok {
-		return "", &httpError{http.StatusServiceUnavailable, "attached source does not support timelines"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "attached source does not support timelines")
 	}
 	line := int64(-1)
 	if raw := r.URL.Query().Get("line"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || v < 0 {
-			return "", &httpError{http.StatusBadRequest, "invalid line: " + raw}
+			return "", httpsrv.NewError(http.StatusBadRequest, "invalid line: "+raw)
 		}
 		line = v
 	}
-	n := DefaultHotLines
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", &httpError{http.StatusBadRequest, "invalid n: " + raw}
-		}
-		n = v
+	n, err := httpsrv.IntParam(r, "n", DefaultHotLines)
+	if err != nil {
+		return "", err
 	}
 	d := ts.FlightDump(n, line)
 	if d == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "flight recording disabled"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "flight recording disabled")
 	}
 	if err := traceout.WriteTimeline(buf, d, nil); err != nil {
 		return "", err
@@ -406,19 +267,9 @@ func (s *Server) handleTimeline(r *http.Request, buf *bytes.Buffer) (string, err
 func (s *Server) handleSpans(_ *http.Request, buf *bytes.Buffer) (string, error) {
 	t := s.tracer.Load()
 	if t == nil {
-		return "", &httpError{http.StatusServiceUnavailable, "span tracing not enabled"}
+		return "", httpsrv.NewError(http.StatusServiceUnavailable, "span tracing not enabled")
 	}
 	if err := spans.WriteOTLP(buf, s.tool, t.Snapshot()); err != nil {
-		return "", err
-	}
-	return "application/json; charset=utf-8", nil
-}
-
-// writeJSON renders v into buf and returns the JSON content type.
-func writeJSON(buf *bytes.Buffer, v any) (string, error) {
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
 		return "", err
 	}
 	return "application/json; charset=utf-8", nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"time"
+
+	"predator/internal/httpsrv"
 )
 
 // Flags is the standard -diag-* flag group the agent CLIs (predator,
@@ -48,7 +50,7 @@ func (f *Flags) ShutdownAfterLinger(s *Server, logf func(format string, args ...
 		}
 		time.Sleep(d)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	ctx, cancel := context.WithTimeout(context.Background(), httpsrv.ShutdownGrace)
 	defer cancel()
 	_ = s.Shutdown(ctx)
 }

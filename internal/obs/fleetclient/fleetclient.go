@@ -82,12 +82,12 @@ type Stats struct {
 // item is one queued delivery.
 type item struct {
 	Type  string `json:"type"`            // fleet.Type*
-	Query string `json:"query,omitempty"` // raw query string (trace)
+	Query string `json:"query,omitempty"` // raw query string (trace items spooled by older agents)
 	Body  []byte `json:"body"`            // request body
 }
 
 // Client streams payloads to one predfleet service. Construct with New,
-// send with SendFindings/SendMetrics/SendTrace, and Close to drain.
+// send with SendFindings/SendMetrics/SendSpans, and Close to drain.
 type Client struct {
 	cfg   Config
 	base  string
@@ -229,17 +229,6 @@ func (c *Client) SendSpans(sp *fleet.SpansPayload) error {
 		return err
 	}
 	return c.enqueue(item{Type: fleet.TypeSpans, Body: body})
-}
-
-// SendTrace enqueues one raw trace segment for the given run.
-func (c *Client) SendTrace(run string, data []byte) error {
-	q := url.Values{}
-	q.Set("project", c.cfg.Project)
-	q.Set("agent", c.cfg.Agent)
-	if run != "" {
-		q.Set("run", run)
-	}
-	return c.enqueue(item{Type: fleet.TypeTrace, Query: q.Encode(), Body: data})
 }
 
 // ErrClosed reports a send after Close.

@@ -17,15 +17,8 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/detect"
+	"predator/internal/obs/diag"
 )
-
-// Stats is the header counter block both servers report: core.Stats's
-// snake_case JSON plus the elided count, the shape diag.StatsJSON serves
-// (fleet.StatsSnapshot carries a subset of the same keys).
-type Stats struct {
-	core.Stats
-	Elided uint64 `json:"elided,omitempty"`
-}
 
 // Line is one hot line in a frame. The embedded LineSnapshot carries the
 // per-process diagnostics fields (including the per-word ownership view);
@@ -43,13 +36,13 @@ type Line struct {
 
 // Frame is one polled snapshot, decoded from either server's response.
 type Frame struct {
-	Tool      string `json:"tool"`
-	UnixMilli int64  `json:"unix_ms"`
-	Requested int    `json:"requested"`
-	Count     int    `json:"count"`
-	Agents    int    `json:"agents,omitempty"` // fleet only
-	Stats     Stats  `json:"stats"`
-	Lines     []Line `json:"lines"`
+	Tool      string         `json:"tool"`
+	UnixMilli int64          `json:"unix_ms"`
+	Requested int            `json:"requested"`
+	Count     int            `json:"count"`
+	Agents    int            `json:"agents,omitempty"` // fleet only
+	Stats     diag.StatsJSON `json:"stats"`            // fleet.StatsSnapshot fills a subset of its keys
+	Lines     []Line         `json:"lines"`
 	// Alerts are the fleet's active anomalies, pre-rendered one per line
 	// (severity-first). Only the fleet server fills them.
 	Alerts []string `json:"alerts,omitempty"`

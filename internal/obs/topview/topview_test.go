@@ -10,6 +10,7 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/detect"
+	"predator/internal/obs/diag"
 )
 
 func TestHeatmap(t *testing.T) {
@@ -30,7 +31,7 @@ func TestHeatmap(t *testing.T) {
 func diagFrame() *Frame {
 	return &Frame{
 		Tool: "predator", UnixMilli: 1754600000000, Requested: 10, Count: 1,
-		Stats: Stats{Stats: core.Stats{Accesses: 1000, Writes: 400, TrackedLines: 3, Invalidations: 70}},
+		Stats: diag.StatsJSON{Stats: core.Stats{Accesses: 1000, Writes: 400, TrackedLines: 3, Invalidations: 70}},
 		Lines: []Line{{LineSnapshot: core.LineSnapshot{
 			Addr: 0x1040, Accesses: 800, Writes: 300, Recorded: 640, Invalidations: 70,
 			ReportWorthy: true, WindowPos: 3, WindowLen: 20, Recording: true,
@@ -67,7 +68,7 @@ func TestRenderDiagShape(t *testing.T) {
 func TestRenderFleetShape(t *testing.T) {
 	fr := &Frame{
 		Tool: "predfleet", UnixMilli: 1754600000000, Requested: 10, Count: 2, Agents: 2,
-		Stats: Stats{Stats: core.Stats{Accesses: 150, Invalidations: 290, Degraded: true, DegradedLines: 1}},
+		Stats: diag.StatsJSON{Stats: core.Stats{Accesses: 150, Invalidations: 290, Degraded: true, DegradedLines: 1}},
 		Lines: []Line{
 			{LineSnapshot: core.LineSnapshot{Addr: 0x80, Invalidations: 200},
 				Owners: "SS..", Project: "web", Agent: "agent-2"},

@@ -421,13 +421,6 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 	return out
 }
 
-// Empty reports whether no virtual lines are registered.
-func (r *Registry) Empty() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.all) == 0
-}
-
 // Tracks returns all registered verification tracks.
 func (r *Registry) Tracks() []*VTrack {
 	r.mu.Lock()

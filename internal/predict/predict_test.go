@@ -257,17 +257,6 @@ func TestRegistrySpanningAccessNotDoubleCounted(t *testing.T) {
 	}
 }
 
-func TestRegistryEmpty(t *testing.T) {
-	r := NewRegistry(geom, detect.Sampler{})
-	if !r.Empty() {
-		t.Error("fresh registry not empty")
-	}
-	r.Add(HotPair{Span: cacheline.NewVirtual(base, 64)})
-	if r.Empty() {
-		t.Error("registry empty after Add")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindAlignment.String() == "" || KindDoubledLine.String() == "" || Kind(9).String() == "" {
 		t.Error("Kind.String returned empty")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
 	"predator/internal/detect"
 )
@@ -126,7 +127,7 @@ func (r *Report) ToJSON() JSONReport {
 			case w.Owner == detect.OwnerShared:
 				owner = "shared"
 			case w.Owner >= 0:
-				owner = itoa(w.Owner)
+				owner = strconv.Itoa(w.Owner)
 			}
 			jf.Words = append(jf.Words, JSONWord{Addr: w.Addr, Reads: w.Reads, Writes: w.Writes, Owner: owner})
 		}
@@ -170,27 +171,4 @@ func LoadJSON(path string) (*JSONReport, error) {
 		return nil, fmt.Errorf("report: parsing %s: %v", path, err)
 	}
 	return &rep, nil
-}
-
-// itoa avoids importing strconv for one tiny case.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

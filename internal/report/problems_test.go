@@ -192,14 +192,3 @@ func TestToJSONStructure(t *testing.T) {
 		t.Errorf("round-tripped = %+v", back)
 	}
 }
-
-func TestItoa(t *testing.T) {
-	for _, c := range []struct {
-		in   int
-		want string
-	}{{0, "0"}, {7, "7"}, {42, "42"}, {-3, "-3"}, {1234567, "1234567"}} {
-		if got := itoa(c.in); got != c.want {
-			t.Errorf("itoa(%d) = %q", c.in, got)
-		}
-	}
-}

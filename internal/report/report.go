@@ -128,9 +128,9 @@ type Finding struct {
 
 	Objects []mem.Object // objects overlapping the span, address order
 
-	Accesses      uint64 // accesses observed on the span (recorded)
-	Reads         uint64
-	Writes        uint64
+	Accesses      uint64 // every access to the span, sampled or not
+	Reads         uint64 // recorded accesses only (after sampling)
+	Writes        uint64 // recorded accesses only (after sampling)
 	Invalidations uint64 // observed or verified invalidations
 	Estimate      uint64 // predicted findings: pre-verification estimate
 

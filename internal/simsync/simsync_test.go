@@ -4,11 +4,13 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"predator/internal/core"
 	"predator/internal/instr"
 	"predator/internal/mem"
 	"predator/internal/report"
+	"predator/internal/sched"
 )
 
 // env builds a heap + runtime + instrumenter with test thresholds.
@@ -57,6 +59,47 @@ func TestMutexPoolMutualExclusion(t *testing.T) {
 	}
 	if total != 4*2000 {
 		t.Errorf("lost updates: %d", total)
+	}
+}
+
+// TestMutexPoolUnderScheduler: with one contended lock and turns that end
+// inside critical sections, serialized workers still finish (a blocked Lock
+// hands its turn on) and lose no update.
+func TestMutexPoolUnderScheduler(t *testing.T) {
+	for _, grain := range []int{4, 16, 64} {
+		in, _ := env(t)
+		pool, err := NewMutexPool(in.NewThread("main"), 1, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheduler := sched.New(grain)
+		counter := 0
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			th := in.NewThread("w")
+			slot := scheduler.Register()
+			th.SetSlot(slot)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer slot.Done()
+				slot.WaitTurn()
+				for i := 0; i < 500; i++ {
+					pool.With(th, 0, func() { counter++ })
+				}
+			}()
+		}
+		scheduler.Start()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("grain %d: workers deadlocked on the pool lock", grain)
+		}
+		if counter != 4*500 {
+			t.Errorf("grain %d: lost updates: %d", grain, counter)
+		}
 	}
 }
 

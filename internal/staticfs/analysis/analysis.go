@@ -14,7 +14,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -51,16 +50,6 @@ type Pass struct {
 
 	// Report is called for each diagnostic. It is set by the driver.
 	Report func(Diagnostic)
-}
-
-// Reportf reports a formatted diagnostic at the given position.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportRangef reports a formatted diagnostic over the given node's extent.
-func (p *Pass) ReportRangef(rng ast.Node, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostic is one finding: a source position, a message, and optional

@@ -525,53 +525,8 @@ func accessorRecv(info *types.Info, sel *ast.SelectorExpr) string {
 // manifest records that the padding fix is in place.
 func elidePadded(pass *analysis.Pass, cfg Config, ig *ignorer) {
 	L := cfg.lineSize()
-	byOwner := map[*types.Named]map[int]*fieldEvidence{}
-	var owners []*types.Named
-	for _, w := range collectFieldWrites(pass) {
-		if w.owner.TypeParams().Len() > 0 {
-			continue
-		}
-		st, _ := w.owner.Underlying().(*types.Struct)
-		if st == nil {
-			continue
-		}
-		idx := fieldIndex(st, w.field)
-		if idx < 0 {
-			continue
-		}
-		fields := byOwner[w.owner]
-		if fields == nil {
-			fields = map[int]*fieldEvidence{}
-			byOwner[w.owner] = fields
-			owners = append(owners, w.owner)
-		}
-		ev := fields[idx]
-		if ev == nil {
-			ev = &fieldEvidence{rootCtxs: map[types.Object]map[int]bool{}, firstPos: w.pos}
-			fields[idx] = ev
-		}
-		if w.atomic {
-			ev.atomic = true
-		}
-		if w.root != nil && w.ctx > 0 {
-			ctxs := ev.rootCtxs[w.root]
-			if ctxs == nil {
-				ctxs = map[int]bool{}
-				ev.rootCtxs[w.root] = ctxs
-			}
-			ctxs[w.ctx] = true
-		}
-	}
-	for _, owner := range owners {
-		fields := byOwner[owner]
-		if len(fields) < 2 {
-			continue
-		}
-		st := owner.Underlying().(*types.Struct)
-		offs, ok := offsetsofSafe(pass.TypesSizes, structVars(st))
-		if !ok {
-			continue
-		}
+	for _, se := range collectFieldEvidence(pass) {
+		owner, st, offs, fields := se.owner, se.st, se.offs, se.fields
 		conflictPairs, sharedLine := 0, false
 		idxs := sortedKeys(fields)
 		for a := 0; a < len(idxs); a++ {

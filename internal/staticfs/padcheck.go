@@ -42,14 +42,21 @@ type fieldEvidence struct {
 	firstPos token.Pos
 }
 
-func runPadcheck(pass *analysis.Pass, cfg Config) (interface{}, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	L := cfg.lineSize()
-	ig := newIgnorer(pass.Fset, pass.Files)
+// structEvidence is the write evidence for one struct with at least two
+// written fields: the evidence per field index, plus the field offsets.
+type structEvidence struct {
+	owner  *types.Named
+	st     *types.Struct
+	offs   []int64
+	fields map[int]*fieldEvidence
+}
 
-	// Fold the write set into per-(struct, field-index) evidence.
+// collectFieldEvidence folds the package's field writes into per-field
+// evidence, grouped per struct in first-write order. Generic structs,
+// structs with fewer than two written fields and structs whose offsets
+// cannot be computed are left out. padcheck and the padded-elision pass
+// both start from it.
+func collectFieldEvidence(pass *analysis.Pass) []structEvidence {
 	byOwner := map[*types.Named]map[int]*fieldEvidence{}
 	var owners []*types.Named // deterministic iteration order
 	for _, w := range collectFieldWrites(pass) {
@@ -91,6 +98,7 @@ func runPadcheck(pass *analysis.Pass, cfg Config) (interface{}, error) {
 		}
 	}
 
+	var out []structEvidence
 	for _, owner := range owners {
 		fields := byOwner[owner]
 		if len(fields) < 2 {
@@ -101,6 +109,20 @@ func runPadcheck(pass *analysis.Pass, cfg Config) (interface{}, error) {
 		if !ok {
 			continue
 		}
+		out = append(out, structEvidence{owner: owner, st: st, offs: offs, fields: fields})
+	}
+	return out
+}
+
+func runPadcheck(pass *analysis.Pass, cfg Config) (interface{}, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	L := cfg.lineSize()
+	ig := newIgnorer(pass.Fset, pass.Files)
+
+	for _, se := range collectFieldEvidence(pass) {
+		owner, st, offs, fields := se.owner, se.st, se.offs, se.fields
 
 		// A field pair is contended when both carry concurrency evidence
 		// against each other and their extents touch a common aligned line.

@@ -81,7 +81,7 @@ func runBodytrack(c *harness.Ctx) (uint64, error) {
 	main := c.NewThread("main")
 	particles := 512 * c.Scale
 	gens := 40
-	stride := uint64((particles*8 + wlutil.PaddedStride - 1) / wlutil.PaddedStride * wlutil.PaddedStride)
+	stride := wlutil.CleanStride(uint64(particles * 8))
 	block, err := main.AllocWithOffset(stride*uint64(c.Threads), 0)
 	if err != nil {
 		return 0, err

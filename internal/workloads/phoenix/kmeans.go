@@ -52,15 +52,11 @@ func (kmeans) Run(c *harness.Ctx) (uint64, error) {
 	}
 
 	// Per-thread partials: kmK * (sumX, sumY, count) = kmK*24 bytes,
-	// always padded to a 128-byte multiple (no false sharing bug here).
+	// always padded a line apart (no false sharing bug here).
 	const slot = kmK * 24
 	partials := make([]uint64, c.Threads)
 	for id := range partials {
-		stride := uint64(wlutil.PaddedStride)
-		for stride < slot {
-			stride += wlutil.PaddedStride
-		}
-		addr, err := main.Alloc(stride)
+		addr, err := main.Alloc(wlutil.CleanStride(slot))
 		if err != nil {
 			return 0, err
 		}

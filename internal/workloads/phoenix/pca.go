@@ -37,12 +37,9 @@ func (pca) Run(c *harness.Ctx) (uint64, error) {
 	}
 
 	// Per-thread accumulators: cols sums + cols covariance-band partial
-	// products, padded to a 128-byte multiple.
+	// products, padded a line apart.
 	const slot = cols * 8 * 2
-	stride := uint64(wlutil.PaddedStride)
-	for stride < slot {
-		stride += wlutil.PaddedStride
-	}
+	stride := wlutil.CleanStride(slot)
 	acc, err := main.Alloc(stride * uint64(c.Threads))
 	if err != nil {
 		return 0, err

@@ -122,7 +122,7 @@ func runTrue(c *harness.Ctx) (uint64, error) {
 	var mu sync.Mutex
 	c.Parallel(c.Threads, "true", func(t *instr.Thread, id int) {
 		for i := 0; i < n; i++ {
-			mu.Lock()
+			t.Lock(&mu)
 			t.Store64(addr, t.Load64(addr)+1)
 			mu.Unlock()
 			c.MaybeYield(i)

@@ -3,6 +3,7 @@ package synthetic
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"predator/internal/core"
 	"predator/internal/harness"
@@ -87,22 +88,32 @@ func TestRWShareNeedsReadInstrumentation(t *testing.T) {
 	})
 }
 
-// TestTrueShareNeverFalse stays free-running: true_share does not finish
-// under the deterministic scheduler.
+// TestTrueShareNeverFalse: every thread increments one word under a mutex.
+// The timeout turns a scheduler deadlock (a blocked Lock holding the turn)
+// into a failure instead of a stalled suite.
 func TestTrueShareNeverFalse(t *testing.T) {
-	res := run(t, "true_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
-	if res.FalseSharingFound() {
-		t.Errorf("true sharing reported as false sharing:\n%s", res.Report.String())
-	}
-	sawTrue := false
-	for _, f := range res.Report.Findings {
-		if f.Sharing == report.SharingTrue {
-			sawTrue = true
+	forEachGrain(t, func(t *testing.T, runAt func(string, harness.Options) *harness.Result) {
+		done := make(chan *harness.Result, 1)
+		go func() { done <- runAt("true_share", harness.Options{Mode: harness.ModePredict, Buggy: true}) }()
+		var res *harness.Result
+		select {
+		case res = <-done:
+		case <-time.After(time.Minute):
+			t.Fatal("true_share did not finish within a minute under the deterministic scheduler")
 		}
-	}
-	if !sawTrue {
-		t.Error("heavy true sharing produced no finding at all")
-	}
+		if res.FalseSharingFound() {
+			t.Errorf("true sharing reported as false sharing:\n%s", res.Report.String())
+		}
+		sawTrue := false
+		for _, f := range res.Report.Findings {
+			if f.Sharing == report.SharingTrue {
+				sawTrue = true
+			}
+		}
+		if !sawTrue {
+			t.Error("heavy true sharing produced no finding at all")
+		}
+	})
 }
 
 func TestLatentShareOnlyPredicted(t *testing.T) {

@@ -1,18 +1,35 @@
 // Package wlutil holds helpers shared by the workload reimplementations:
 // range partitioning, checksum mixing, and per-thread state blocks whose
-// stride is the knob every buggy/fixed workload pair turns (packed stats
-// blocks share cache lines — the paper's recurring bug; 128-byte strides are
-// immune even under doubled-line prediction).
+// stride is the knob every buggy/fixed workload pair turns. Packed stats
+// blocks share cache lines — the paper's recurring bug. A clean stride
+// (CleanStride) leaves at least one line of slack after every slot;
+// without it neighbouring slots abut, and a block that lands off a line
+// boundary puts two threads' words on one line (paper §3.1).
 package wlutil
 
 import (
+	"predator/internal/cacheline"
 	"predator/internal/harness"
 	"predator/internal/instr"
 )
 
-// PaddedStride is the per-thread state stride that is safe under both
-// physical 64-byte lines and PREDATOR's doubled-line (128-byte) prediction.
+// PaddedStride is the unit clean strides are rounded to: a multiple of
+// both physical 64-byte lines and PREDATOR's doubled-line (128-byte)
+// prediction.
 const PaddedStride = 128
+
+// CleanStride returns the smallest multiple of PaddedStride that leaves at
+// least one cache line of slack after a slot-byte slot (stride − slot ≥ line
+// size). A stride that only covers the slot lets neighbouring slots abut,
+// so wherever the block starts off a line boundary the last words of one
+// slot and the first of the next share a line.
+func CleanStride(slot uint64) uint64 {
+	stride := uint64(PaddedStride)
+	for stride < slot+cacheline.DefaultSize {
+		stride += PaddedStride
+	}
+	return stride
+}
 
 // Partition splits n items over workers; it returns worker id's [lo, hi).
 // The first n%workers workers get one extra item.
@@ -39,7 +56,7 @@ func Mix64(h, v uint64) uint64 {
 
 // StatsBlock is a contiguous array of per-thread state slots inside the
 // simulated heap. Buggy variants use the natural (packed) slot size so
-// neighbouring threads share cache lines; fixed variants use PaddedStride.
+// neighbouring threads share cache lines; fixed variants use CleanStride.
 type StatsBlock struct {
 	Base   uint64
 	Stride uint64
@@ -47,14 +64,10 @@ type StatsBlock struct {
 }
 
 // NewStatsBlock allocates per-thread slots for the context's thread count.
-// slot is the payload size; when buggy (or when the context forces an
-// offset) the stride equals the packed slot size, otherwise PaddedStride
-// (or the next multiple of it).
+// slot is the payload size; when buggy the stride equals the packed slot
+// size, otherwise CleanStride(slot).
 func NewStatsBlock(c *harness.Ctx, t *instr.Thread, slot uint64) (StatsBlock, error) {
-	stride := uint64(PaddedStride)
-	for stride < slot {
-		stride += PaddedStride
-	}
+	stride := CleanStride(slot)
 	if c.Buggy {
 		stride = slot
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"predator/internal/cacheline"
+	"predator/internal/core"
 	"predator/internal/harness"
 	"predator/internal/instr"
 	"predator/internal/mem"
@@ -101,10 +103,79 @@ func TestStatsBlockFixedPadded(t *testing.T) {
 	if b.Stride != PaddedStride {
 		t.Errorf("fixed stride = %d, want %d", b.Stride, PaddedStride)
 	}
-	// Slots larger than one pad unit round up to a multiple.
+	// Larger slots round up to the multiple that still leaves a line of
+	// slack: 200 + 64 bytes needs three pad units.
 	b2, _ := NewStatsBlock(c, th, 200)
-	if b2.Stride != 2*PaddedStride {
-		t.Errorf("large slot stride = %d, want %d", b2.Stride, 2*PaddedStride)
+	if b2.Stride != 3*PaddedStride {
+		t.Errorf("large slot stride = %d, want %d", b2.Stride, 3*PaddedStride)
+	}
+}
+
+// TestCleanStrideLeavesALine pins the clean-layout rule: the stride is the
+// smallest PaddedStride multiple with stride - slot >= line size, so the
+// last word of one slot and the first of the next never fit in one line,
+// whatever the base offset.
+func TestCleanStrideLeavesALine(t *testing.T) {
+	const line = cacheline.DefaultSize
+	for slot := uint64(8); slot <= 1024; slot += 8 {
+		stride := CleanStride(slot)
+		if stride%PaddedStride != 0 || stride-slot < line || stride-PaddedStride >= slot+line {
+			t.Fatalf("CleanStride(%d) = %d, want the smallest %d-multiple >= slot+%d", slot, stride, PaddedStride, line)
+		}
+	}
+	if CleanStride(256) != 384 {
+		t.Errorf("CleanStride(256) = %d, want 384 (pca's accumulator)", CleanStride(256))
+	}
+}
+
+// abutting is a pca-shaped kernel: each thread adds into every word of its
+// own 256-byte slot, laid out at the given stride from a line-aligned base.
+type abutting struct{ stride uint64 }
+
+func (abutting) Name() string          { return "abutting" }
+func (abutting) Suite() string         { return "test" }
+func (abutting) Description() string   { return "per-thread 256-byte accumulators" }
+func (abutting) HasFalseSharing() bool { return false }
+
+func (w abutting) Run(c *harness.Ctx) (uint64, error) {
+	const slot = 256
+	main := c.NewThread("main")
+	base, err := main.AllocWithOffset(w.stride*uint64(c.Threads), 0)
+	if err != nil {
+		return 0, err
+	}
+	c.Parallel(c.Threads, "abutting", func(t *instr.Thread, id int) {
+		for r := 0; r < 400; r++ {
+			for off := uint64(0); off < slot; off += 8 {
+				t.AddInt64(base+uint64(id)*w.stride+off, 1)
+			}
+		}
+	})
+	return main.Load64(base), nil
+}
+
+// TestAbuttingSlotsArePredicted: slots that fill their stride never share a
+// physical line from a line-aligned base, yet PREDATOR predicts the
+// different-alignment problem (paper §3.1) that the clean stride removes.
+func TestAbuttingSlotsArePredicted(t *testing.T) {
+	run := func(stride uint64, grain int) *harness.Result {
+		cfg := core.Config{TrackingThreshold: 50, PredictionThreshold: 100, ReportThreshold: 200, Prediction: true}
+		res, err := harness.Execute(abutting{stride: stride}, harness.Options{
+			Mode: harness.ModePredict, Threads: 4, Runtime: &cfg,
+			Deterministic: true, DeterministicGrain: grain,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, grain := range []int{4, 16, 64} {
+		if res := run(256, grain); !res.FalseSharingFound() || !res.PredictedOnly() {
+			t.Errorf("grain %d: abutting 256-byte slots not predicted-only:\n%s", grain, res.Report.String())
+		}
+		if res := run(CleanStride(256), grain); res.FalseSharingFound() {
+			t.Errorf("grain %d: clean stride flagged:\n%s", grain, res.Report.String())
+		}
 	}
 }
 
